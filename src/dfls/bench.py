@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import SolverParams
-from .problems import NoiseModel, NoisyProblem, get_problem
+from .problems import NoiseModel, NoisyProblem, expected_noisy_objective, get_problem
 from .solver import solve
 
 __all__ = [
@@ -83,14 +83,6 @@ class DataProfile:
         return float(self.proportions[idx])
 
 
-def _expected_f(f, m, noise):
-    if noise.deterministic:
-        return float(f)
-    if noise.kind == "mult_gaussian":
-        return float((1.0 + noise.sigma**2) * f)
-    return float(f + m * noise.sigma**2)
-
-
 def measure_true(record, tau_value):
     """Evaluations until the true objective reaches the accuracy threshold.
 
@@ -112,8 +104,8 @@ def measure_noisy(record, tau_value, noise=None):
     """
     if noise is None:
         noise = record.noise_model()
-    ef_star = _expected_f(record.f_star, record.m, noise)
-    ef0 = _expected_f(record.f0_true, record.m, noise)
+    ef_star = expected_noisy_objective(record, noise, f=record.f_star)
+    ef0 = expected_noisy_objective(record, noise, f=record.f0_true)
     threshold = ef_star + tau_value * (ef0 - ef_star)
     hit = np.nonzero(record.best_noisy <= threshold)[0]
     if hit.size == 0:
@@ -135,8 +127,8 @@ def tau_crit(problem, noise, n_samples=100_000, seed=0):
     from .problems import noise_std_at
 
     sigma_star = noise_std_at(problem, noise, problem.x_star, n_samples=n_samples, seed=seed)
-    ef0 = _expected_f(problem.objective(problem.x0), problem.m, noise)
-    ef_star = _expected_f(problem.f_star, problem.m, noise)
+    ef0 = expected_noisy_objective(problem, noise, x=problem.x0)
+    ef_star = expected_noisy_objective(problem, noise, f=problem.f_star)
     denom = ef0 - ef_star
     if denom <= 0.0:
         raise ValueError("degenerate problem")
@@ -197,27 +189,24 @@ def data_profile(records, tau, measure="true", tau_crit_by_problem=None, alphas=
 
 
 class _Recorder:
-    """Eval hook that keeps the improvement events of both running minima."""
+    """Eval hook that keeps the improvement events of both running minima.
 
-    def __init__(self, base_problem, deterministic):
-        self.base = base_problem
-        self.deterministic = deterministic
+    The true objective comes from the noise-free residual the noisy problem
+    kept at the point just evaluated, so it costs no second evaluation.
+    """
+
+    def __init__(self, noisy_problem):
+        self.problem = noisy_problem
         self.events = []
         self.best_true = np.inf
         self.best_noisy = np.inf
 
     def __call__(self, n_evals, x, f_noisy, n_samples):
-        if self.deterministic:
+        if self.problem.noise.deterministic:
             f_true = f_noisy
         else:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r = self.base.residual(x)
-                    f_true = float(r @ r)
-                if not np.isfinite(f_true):
-                    f_true = np.inf
-            except Exception:
-                f_true = np.inf
+            r = self.problem.last_residual
+            f_true = float(r @ r)
         improved = False
         if f_true < self.best_true:
             self.best_true = f_true
@@ -245,7 +234,7 @@ def run_one(name, noise, seed, budget_mult, params=None):
     budget = int(budget_mult * (prob.n + 1))
     params = replace(params, max_evals=budget)
     noisy_problem = NoisyProblem(prob, noise, seed=seed)
-    recorder = _Recorder(prob, noise.deterministic)
+    recorder = _Recorder(noisy_problem)
     rng = np.random.default_rng(_solver_seed(seed, name))
     result = solve(noisy_problem, prob.x0, bounds=prob.bounds, params=params,
                    rng=rng, eval_hook=recorder)

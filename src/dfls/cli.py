@@ -49,38 +49,29 @@ def _parse_pinit(spec, n):
     raise ValueError(f"unknown pinit choice {spec!r}")
 
 
-def _params_from_flags(args, n, noise):
-    params = SolverParams(noisy=not noise.deterministic)
-    restarts = RestartConfig()
-    if args.restarts is not None:
-        if args.restarts == "off":
-            restarts.enabled = False
-        else:
-            restarts.enabled = True
-            restarts.kind = args.restarts
-    if args.autodetect is not None:
-        restarts.autodetect = args.autodetect == "on"
-    params.restarts = restarts
-    if args.nsamples is not None:
-        params.nsamples = args.nsamples
-    if args.regression_points is not None:
-        params.p = args.regression_points * (n + 1)
-    if args.pinit is not None:
-        params.p_init = _parse_pinit(args.pinit, n)
-    if args.growing is not None:
-        params.growing = args.growing
-    params.rho_end = 1e-8
-    return params
+def _build_params(d, n, args):
+    """SolverParams from a config-style dict, with the solver flags applied on top.
 
-
-def _params_from_dict(d, n):
+    The dict takes SolverParams fields plus a "restarts" sub-dict and the
+    "regression_points" (p = C(n+1)) and "pinit" shorthands, which is also
+    where the --regression-points and --pinit flags land.
+    """
     d = dict(d or {})
-    restarts = RestartConfig(**d.pop("restarts", {}))
+    restarts = dict(d.pop("restarts", {}))
+    if args.restarts is not None:
+        restarts["enabled"] = args.restarts != "off"
+        if args.restarts != "off":
+            restarts["kind"] = args.restarts
+    if args.autodetect is not None:
+        restarts["autodetect"] = args.autodetect == "on"
+    for key in ("nsamples", "regression_points", "pinit", "growing"):
+        if getattr(args, key) is not None:
+            d[key] = getattr(args, key)
     if "regression_points" in d:
         d["p"] = int(d.pop("regression_points")) * (n + 1)
     if "pinit" in d:
         d["p_init"] = _parse_pinit(str(d.pop("pinit")), n)
-    return replace(SolverParams(**d), restarts=restarts)
+    return replace(SolverParams(**d), restarts=RestartConfig(**restarts))
 
 
 def _seed_from(args):
@@ -96,10 +87,10 @@ def cmd_solve(args):
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    noise = _parse_noise(args.noise)
     seed = _seed_from(args)
     try:
-        params = _params_from_flags(args, prob.n, noise)
+        noise = _parse_noise(args.noise)
+        params = _build_params({"noisy": not noise.deterministic}, prob.n, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,8 +144,15 @@ def cmd_bench(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    noise_cfg = config.get("noise", {})
-    noise = NoiseModel(noise_cfg.get("kind", "none"), float(noise_cfg.get("sigma", 0.0)))
+    try:
+        if args.noise is not None:
+            noise = _parse_noise(args.noise)
+        else:
+            noise_cfg = config.get("noise", {})
+            noise = NoiseModel(noise_cfg.get("kind", "none"), float(noise_cfg.get("sigma", 0.0)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     seeds_cfg = config.get("seeds", 1)
     base_seed = _seed_from(args)
     if isinstance(seeds_cfg, int):
@@ -174,14 +172,14 @@ def cmd_bench(args):
     failures = []
     records = []
     try:
-        _params_from_dict(config.get("solver"), get_problem(problems[0]).n)
+        _build_params(config.get("solver"), get_problem(problems[0]).n, args)
     except (TypeError, ValueError) as exc:
         print(f"error: bad solver config: {exc}", file=sys.stderr)
         return 2
     for name in problems:
         try:
             recs = run_suite([name], noise, seeds, budget_mult,
-                             params=_params_from_dict(config.get("solver"), get_problem(name).n),
+                             params=_build_params(config.get("solver"), get_problem(name).n, args),
                              jobs=args.jobs)
             records.extend(recs)
         except Exception as exc:

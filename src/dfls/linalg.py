@@ -17,6 +17,7 @@ __all__ = [
     "clamp_singular_values",
     "linear_fit",
     "random_orthonormal",
+    "random_unit",
     "orthogonal_complement_direction",
 ]
 
@@ -128,6 +129,13 @@ def random_orthonormal(n, k, rng):
     Q, R = np.linalg.qr(A)
     Q = Q * np.sign(np.where(np.diag(R) == 0.0, 1.0, np.diag(R)))
     return Q.T
+
+
+def random_unit(rng, n):
+    """A rotation-invariant random unit vector in R^n."""
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    return d
 
 
 def orthogonal_complement_direction(directions, rng):

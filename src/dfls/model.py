@@ -16,6 +16,7 @@ from .linalg import (
     DegenerateSetError,
     clamp_singular_values,
     random_orthonormal,
+    random_unit,
     solve_min_norm,
     solve_regression,
 )
@@ -92,6 +93,9 @@ class InterpolationSet:
         value = np.asarray(value, dtype=float)
         if self.values is None:
             self.values = np.full((self.npt, value.size), np.nan)
+        elif value.shape != self.values.shape[1:]:
+            raise ValueError(f"residual has shape {value.shape}, "
+                             f"expected ({self.values.shape[1]},)")
         self.values[t] = value
         self._fvals[t] = float(value @ value)
         self.sample_counts[t] = n_samples
@@ -106,32 +110,47 @@ class InterpolationSet:
         diff = self.points - np.asarray(center, dtype=float)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def update(self, new_point, new_value, replace_index=None, n_samples=1):
-        """Append (growing) or replace one point, then re-point the base.
+    def has_point(self, y, skip=None):
+        """True iff y equals a point of the set, not counting slot skip.
 
-        Duplicate points are rejected: they would make the interpolation
-        system singular.
+        Duplicate points would make the interpolation system singular.
         """
-        new_point = np.asarray(new_point, dtype=float)
-        if np.any(np.all(self.points == new_point, axis=1)):
-            raise ValueError("duplicate interpolation point")
-        if replace_index is None:
-            self.points = np.vstack([self.points, new_point])
+        same = np.all(self.points == y, axis=1)
+        if skip is not None:
+            same[skip] = False
+        return bool(np.any(same))
+
+    def put(self, t, point, value, n_samples=1):
+        """Write point and value into slot t (t == npt appends); no rebase."""
+        if t == self.npt:
+            self.points = np.vstack([self.points, point])
             self._fvals = np.append(self._fvals, np.inf)
             self.sample_counts = np.append(self.sample_counts, 1)
             if self.values is not None:
                 self.values = np.vstack([self.values, np.full(self.values.shape[1], np.nan)])
-            self.set_value(self.npt - 1, new_value, n_samples)
         else:
-            if replace_index == self.base_index:
-                raise ValueError("cannot replace the base point")
-            self.points[replace_index] = new_point
-            self.set_value(replace_index, new_value, n_samples)
-        self.rebase()
+            self.points[t] = point
+        self.set_value(t, value, n_samples)
 
-    def copy(self):
-        out = InterpolationSet(self.points, self.values, self.sample_counts, self.base_index)
-        return out
+    def furthest_index(self):
+        """Index of the non-base point furthest from the base point."""
+        dist = self.distances_from(self.base_point())
+        dist[self.base_index] = -np.inf
+        return int(np.argmax(dist))
+
+    def update(self, new_point, new_value, replace_index=None, n_samples=1):
+        """Append (growing) or replace one point, then re-point the base.
+
+        Duplicate points and replacing the base point are rejected.
+        """
+        new_point = np.asarray(new_point, dtype=float)
+        if self.has_point(new_point):
+            raise ValueError("duplicate interpolation point")
+        if replace_index == self.base_index:
+            raise ValueError("cannot replace the base point")
+        self.put(self.npt if replace_index is None else replace_index,
+                 new_point, new_value, n_samples)
+        self.rebase()
 
 
 @dataclass
@@ -142,9 +161,6 @@ class LinearResidualModel:
     J: np.ndarray          # (m, n)
     alpha: float           # max distance of set points from the base
     rank_repaired: bool = False
-
-    def predict(self, s):
-        return self.r + self.J @ np.asarray(s, dtype=float)
 
 
 @dataclass
@@ -228,8 +244,7 @@ def build_initial_set(x0, delta0, p_init, bounds, rng):
         elif t < 2 * n:
             direction = -Q[t - n]
         else:
-            v = rng.standard_normal(n)
-            direction = v / np.linalg.norm(v)
+            direction = random_unit(rng, n)
         y = _feasible_step(x0, direction, delta0, lower, upper)
         if y is None:
             raise ValueError("infeasible initial geometry")
@@ -386,8 +401,7 @@ def geometry_point(basis, t, center, delta, bounds=None, rng=None):
             d = np.zeros(n)
             d[0] = 1.0
         else:
-            d = rng.standard_normal(n)
-            d /= np.linalg.norm(d)
+            d = random_unit(rng, n)
         return np.clip(center + delta * d, lower, upper)
     step = delta * g / gnorm
     cands = [np.clip(center + step, lower, upper), np.clip(center - step, lower, upper)]

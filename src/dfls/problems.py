@@ -17,7 +17,6 @@ __all__ = [
     "LeastSquaresProblem",
     "NoiseModel",
     "NoisyProblem",
-    "evaluate",
     "expected_noisy_objective",
     "noise_std_at",
     "catalog",
@@ -77,6 +76,8 @@ class NoisyProblem:
     Each instance owns a seeded random stream keyed by (seed, problem name,
     run index), so suites parallelized over (problem, seed) tuples give
     schedule-independent results. Callable: returns one noisy residual draw.
+    Both evaluation methods keep the noise-free residual they computed in
+    ``last_residual``, so callers can read the true objective out of band.
     """
 
     def __init__(self, base, noise, seed=0, run=0):
@@ -86,9 +87,22 @@ class NoisyProblem:
         self.run = int(run)
         key = (int(seed), zlib.crc32(base.name.encode()), int(run))
         self._rng = np.random.default_rng(np.random.SeedSequence(key))
+        self.last_residual = None
+
+    def _clean_residual(self, x):
+        r = self.base.residual(np.asarray(x, dtype=float))
+        if not np.all(np.isfinite(r)):
+            raise FloatingPointError(f"residual evaluation failed for {self.base.name}")
+        self.last_residual = r
+        return r
 
     def __call__(self, x):
-        return evaluate(self, x)
+        """One noisy residual-vector evaluation; draws fresh noise per component."""
+        r = self._clean_residual(x)
+        if self.noise.deterministic:
+            return r
+        eps = self._rng.normal(0.0, self.noise.sigma, size=r.shape)
+        return _apply_noise(r, self.noise, eps)
 
     def sample_mean(self, x, n_samples):
         """Mean of n_samples independent noisy draws at x.
@@ -97,35 +111,19 @@ class NoisyProblem:
         noise drawn as a batch; equivalent in distribution to averaging
         n_samples separate calls, at a fraction of the cost.
         """
-        r = self.base.residual(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(r)):
-            raise FloatingPointError(f"residual evaluation failed for {self.base.name}")
+        r = self._clean_residual(x)
         if self.noise.deterministic:
             return r.copy()
         eps = self._rng.normal(0.0, self.noise.sigma, size=(int(n_samples), r.size))
         return _apply_noise(r[None, :], self.noise, eps).mean(axis=0)
 
-    def reset(self):
-        key = (self.seed, zlib.crc32(self.base.name.encode()), self.run)
-        self._rng = np.random.default_rng(np.random.SeedSequence(key))
-
-
-def evaluate(noisy_problem, x):
-    """One noisy residual-vector evaluation; draws fresh noise per component."""
-    np_ = noisy_problem
-    r = np_.base.residual(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError(f"residual evaluation failed for {np_.base.name}")
-    if np_.noise.deterministic:
-        return r
-    eps = np_._rng.normal(0.0, np_.noise.sigma, size=r.shape)
-    return _apply_noise(r, np_.noise, eps)
 
 
 def expected_noisy_objective(problem, noise, x=None, f=None):
     """Closed-form E[f~(x)] under the given noise model.
 
-    Either x or the true objective value f must be supplied.
+    Either x or the true objective value f must be supplied; with f given,
+    problem only needs the residual count m (a RunRecord serves as well).
     """
     if f is None:
         f = problem.objective(x)

@@ -18,6 +18,7 @@ from .linalg import (
     DegenerateSetError,
     linear_fit,
     orthogonal_complement_direction,
+    random_unit,
 )
 from .model import (
     InterpolationSet,
@@ -31,7 +32,7 @@ from .model import (
     needs_geometry_improvement,
 )
 from .params import SolverParams, nsamples_policy, resolve_params
-from .trustregion import solve_trust_region
+from .trustregion import _max_feasible_step, solve_trust_region
 
 __all__ = [
     "solve",
@@ -58,7 +59,7 @@ EXIT_SLOW_PROGRESS = "slow_progress"
 EXIT_NOISE_LEVEL = "noise_level"
 EXIT_RESTARTS_EXHAUSTED = "restarts_exhausted"
 
-# Treat the predicted decrease as numerically zero below this relative level.
+# Treat the model decrease as numerically zero below this relative level.
 _PRED_DECREASE_TOL = 1e-15
 _MAX_CONSECUTIVE_FAILURES = 50
 
@@ -325,10 +326,12 @@ class _Loop:
         self.jac_history = []
         self.success_f = []
 
-    def _replace_point(self, t, new_point, rbar, n_samples):
-        """Replace point t in place without the base-index guard or rebase."""
-        self.iset.points[t] = new_point
-        self.iset.set_value(t, rbar, n_samples)
+    def _reduce_rho(self):
+        """(rho, delta) <- (alpha1 rho, alpha2 rho); restart or stop at rho_end."""
+        p = self.p
+        self.rho, self.delta = p.alpha1 * self.rho, p.alpha2 * self.rho
+        if self.rho <= p.rho_end:
+            self._request_restart(EXIT_SMALL_TRUST_REGION)
 
     # -- phases -------------------------------------------------------------
 
@@ -356,12 +359,11 @@ class _Loop:
         for frac in (-1.0, 0.5, -0.5, 0.25, -0.25, 0.05, -0.05):
             candidates.append(self._clip(x0 + frac * step))
         for y in candidates:
-            if np.any(np.all(np.delete(iset.points, t, axis=0) == y, axis=1)):
+            if iset.has_point(y, skip=t):
                 continue
             rbar, fbar, nsamp = self.evaluate_averaged(y)
             if rbar is not None:
-                iset.points[t] = y
-                iset.set_value(t, rbar, nsamp)
+                iset.put(t, y, rbar, nsamp)
                 return
         raise RuntimeError("objective evaluation failed while building the initial set")
 
@@ -372,32 +374,30 @@ class _Loop:
         except DegenerateSetError:
             self._repair_degenerate()
             return
-        xk = self.iset.base_point()
-        dist = self.iset.distances_from(xk)
-        dist[self.iset.base_index] = -np.inf
-        t = int(np.argmax(dist))
-        y = geometry_point(basis, t, xk, radius, (self.lower, self.upper), self.rng)
+        t = self.iset.furthest_index()
+        y = geometry_point(basis, t, self.iset.base_point(), radius,
+                           (self.lower, self.upper), self.rng)
         self._move_point(t, y)
 
     def _move_point(self, t, y):
-        """Evaluate y and put it at slot t (skipping failed or duplicate points)."""
-        if np.any(np.all(self.iset.points == y, axis=1)):
-            return
+        """Evaluate y and put it at slot t (t == npt appends), then rebase.
+
+        A duplicate of a set point is skipped unevaluated (returns False); a
+        failed evaluation leaves the set unchanged.
+        """
+        if self.iset.has_point(y):
+            return False
         rbar, fbar, nsamp = self.evaluate_averaged(y)
-        if rbar is None:
-            return
-        self.iset.update(y, rbar, replace_index=t, n_samples=nsamp)
+        if rbar is not None:
+            self.iset.put(t, y, rbar, nsamp)
+            self.iset.rebase()
+        return True
 
     def _repair_degenerate(self):
         """Replace the furthest point with a random direction step from the base."""
-        xk = self.iset.base_point()
-        dist = self.iset.distances_from(xk)
-        dist[self.iset.base_index] = -np.inf
-        t = int(np.argmax(dist))
-        d = self.rng.standard_normal(self.n)
-        d /= np.linalg.norm(d)
-        y = self._clip(xk + self.delta * d)
-        self._move_point(t, y)
+        t = self.iset.furthest_index()
+        d = random_unit(self.rng, self.n)
+        self._move_point(t, self._clip(self.iset.base_point() + self.delta * d))
 
     def _growing_safety(self):
         """Append a point orthogonal to the current growing directions."""
@@ -407,13 +407,8 @@ class _Loop:
             try:
                 d = orthogonal_complement_direction(directions, self.rng)
             except DegenerateSetError:
-                d = self.rng.standard_normal(self.n)
-                d /= np.linalg.norm(d)
-            y = self._clip(xk + self.delta * d)
-            if not np.any(np.all(self.iset.points == y, axis=1)):
-                rbar, fbar, nsamp = self.evaluate_averaged(y)
-                if rbar is not None:
-                    self.iset.update(y, rbar, n_samples=nsamp)
+                d = random_unit(self.rng, self.n)
+            if self._move_point(self.iset.npt, self._clip(xk + self.delta * d)):
                 return
 
     def _multi_move(self, step):
@@ -425,9 +420,7 @@ class _Loop:
         count = min(count, self.iset.npt - 1)
         xk = self.iset.base_point()
         for _ in range(count):
-            dist = self.iset.distances_from(self.iset.base_point())
-            dist[self.iset.base_index] = -np.inf
-            t = int(np.argmax(dist))
+            t = self.iset.furthest_index()
             if mech == "geometry":
                 try:
                     basis = lagrange_basis(self.iset)
@@ -442,31 +435,21 @@ class _Loop:
 
     def _momentum_point(self, xk, step):
         """x_{k+1} + delta d with random unit d, d.step > 0, clipped to the box."""
+        def box_step(d):
+            return min(_max_feasible_step(xk, d, np.inf, self.lower, self.upper), self.delta)
+
         for _ in range(50):
-            d = self.rng.standard_normal(self.n)
-            nd = np.linalg.norm(d)
-            if nd == 0.0:
-                continue
-            d /= nd
+            d = random_unit(self.rng, self.n)
             if step @ d <= 0.0:
                 d = -d
-            alpha = self._max_box_step(xk, d)
+            alpha = box_step(d)
             if alpha < 1e-3:
                 d = -d
-                alpha = self._max_box_step(xk, d)
+                alpha = box_step(d)
                 if alpha <= 0.0:
                     continue
-            return xk + min(alpha, self.delta) * d
+            return xk + alpha * d
         return None
-
-    def _max_box_step(self, x, d):
-        alpha = self.delta
-        for i in range(self.n):
-            if d[i] > 0 and np.isfinite(self.upper[i]):
-                alpha = min(alpha, (self.upper[i] - x[i]) / d[i])
-            elif d[i] < 0 and np.isfinite(self.lower[i]):
-                alpha = min(alpha, (self.lower[i] - x[i]) / d[i])
-        return max(alpha, 0.0)
 
     # -- restarts -----------------------------------------------------------
 
@@ -520,7 +503,7 @@ class _Loop:
             y0 = self._restart_geometry_point(old_base, old_xk)
             rbar, fbar, nsamp = self.evaluate_averaged(y0)
             if rbar is not None:
-                self._replace_point(old_base, y0, rbar, nsamp)
+                self.iset.put(old_base, y0, rbar, nsamp)
                 moved.append(old_base)
             n_move -= 1
             center = self.iset.points[old_base]
@@ -533,7 +516,7 @@ class _Loop:
             y = self._restart_geometry_point(int(t), center)
             rbar, fbar, nsamp = self.evaluate_averaged(y)
             if rbar is not None:
-                self._replace_point(int(t), y, rbar, nsamp)
+                self.iset.put(int(t), y, rbar, nsamp)
                 moved.append(int(t))
         if move_base and moved:
             # Continue from the best of the moved points, even if it is worse
@@ -549,12 +532,9 @@ class _Loop:
             y = geometry_point(basis, t, center, self.p.delta0,
                                (self.lower, self.upper), self.rng)
         except DegenerateSetError:
-            d = self.rng.standard_normal(self.n)
-            d /= np.linalg.norm(d)
-            y = self._clip(center + self.p.delta0 * d)
-        if np.any(np.all(self.iset.points == y, axis=1)):
-            d = self.rng.standard_normal(self.n)
-            d /= np.linalg.norm(d)
+            y = self._clip(center + self.p.delta0 * random_unit(self.rng, self.n))
+        if self.iset.has_point(y):
+            d = random_unit(self.rng, self.n)
             y = self._clip(center + self.p.delta0 * self.rng.uniform(0.5, 1.0) * d)
         return y
 
@@ -634,7 +614,7 @@ class _Loop:
         xnew = self._clip(xk + s)
         rbar, fnew, nsamp = self.evaluate_averaged(xnew)
 
-        pred = fm.decrease(s if not (growing and p.growing == "perturb") else s)
+        pred = fm.decrease(s)
         if not np.isfinite(fnew):
             ratio = -np.inf
         elif pred <= _PRED_DECREASE_TOL * max(1.0, fm.c):
@@ -645,15 +625,13 @@ class _Loop:
         new_delta, hit_rho = update_radii(ratio, self.delta, self.rho, step_norm, p)
         self.delta = new_delta
 
-        if rbar is not None:
-            try:
-                if growing:
-                    iset.update(xnew, rbar, n_samples=nsamp)
-                else:
-                    t = choose_point_to_replace(iset, basis, xnew, xk, self.delta)
-                    iset.update(xnew, rbar, replace_index=t, n_samples=nsamp)
-            except ValueError:
-                pass  # duplicate point; keep the set unchanged
+        if rbar is not None and not iset.has_point(xnew):
+            if growing:
+                t = iset.npt
+            else:
+                t = choose_point_to_replace(iset, basis, xnew, xk, self.delta)
+            iset.put(t, xnew, rbar, nsamp)
+            iset.rebase()
 
         if growing:
             return  # growing phase: no removals, rho unchanged
@@ -677,21 +655,16 @@ class _Loop:
 
         # Unsuccessful phase: reduce the lower radius once delta has hit it.
         if hit_rho:
-            self.rho, self.delta = p.alpha1 * self.rho, p.alpha2 * self.rho
-            if self.rho <= p.rho_end:
-                self._request_restart(EXIT_SMALL_TRUST_REGION)
+            self._reduce_rho()
 
     def _safety_phase(self, growing):
-        p = self.p
         if growing:
             self._growing_safety()
             return
-        self.delta = max(self.rho, p.omega_safety * self.delta)
+        self.delta = max(self.rho, self.p.omega_safety * self.delta)
         self._improve_geometry(self.delta)
         if self.delta <= self.rho:
-            self.rho, self.delta = p.alpha1 * self.rho, p.alpha2 * self.rho
-            if self.rho <= p.rho_end:
-                self._request_restart(EXIT_SMALL_TRUST_REGION)
+            self._reduce_rho()
 
     def _results(self, exit_flag):
         diagnostics = {

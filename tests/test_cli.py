@@ -31,6 +31,11 @@ class TestSolveCommand:
         proc = run_cli("solve", "rosenbrock", "--frobnicate")
         assert proc.returncode == 2
 
+    def test_unknown_noise_kind_is_usage_error(self):
+        proc = run_cli("solve", "rosenbrock", "--noise", "bogus:1")
+        assert proc.returncode == 2
+        assert "unknown noise kind" in proc.stderr
+
     def test_noisy_solve_is_deterministic_per_seed(self):
         args = ("solve", "osborne1", "--noise", "mult_gaussian:1e-2",
                 "--restarts", "soft_moving", "--budget-mult", "100", "--seed", "4")
@@ -104,8 +109,31 @@ class TestBenchCommand:
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "profiles.csv").read_bytes() == (out2 / "profiles.csv").read_bytes()
 
+    def test_solver_flags_change_records(self, tmp_path):
+        cfg = self.config(tmp_path)
+
+        def records(*flags):
+            out = tmp_path / ("out" + "".join(flags).replace(":", "_"))
+            proc = run_cli("bench", str(cfg), "--out", str(out), "--seed", "0", *flags)
+            assert proc.returncode == 0, proc.stderr
+            return (out / "records.csv").read_bytes()
+
+        plain = records()
+        for flags in (("--nsamples", "const:5"), ("--regression-points", "3"),
+                      ("--noise", "none")):
+            assert records(*flags) != plain, flags
+
     def test_empty_problem_list_is_usage_error(self, tmp_path):
         cfg = self.config(tmp_path, problems=[])
+        proc = run_cli("bench", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+
+    def test_unknown_noise_kind_is_usage_error(self, tmp_path):
+        cfg = self.config(tmp_path)
+        proc = run_cli("bench", str(cfg), "--out", str(tmp_path / "out"), "--noise", "bogus")
+        assert proc.returncode == 2
+        assert "unknown noise kind" in proc.stderr
+        cfg = self.config(tmp_path, noise={"kind": "bogus", "sigma": 0.1})
         proc = run_cli("bench", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
 

@@ -422,3 +422,51 @@ class TestSetMaintenance:
         iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]])
         with pytest.raises(ValueError, match="duplicate"):
             iset.update(np.array([1.0, 0.0]), np.array([5.0]), replace_index=1)
+
+    def test_has_point_can_skip_one_slot(self):
+        iset = make_set([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0], [3.0]])
+        assert iset.has_point(np.array([1.0, 0.0]))
+        assert not iset.has_point(np.array([1.0, 0.0]), skip=1)
+        assert iset.has_point(np.array([1.0, 0.0]), skip=2)
+        assert not iset.has_point(np.array([1.0, 1.0]))
+
+    def test_put_replaces_without_rebase(self):
+        iset = make_set([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0], [3.0]])
+        iset.put(2, np.array([0.5, 0.5]), np.array([0.1]), n_samples=4)
+        np.testing.assert_array_equal(iset.points[2], [0.5, 0.5])
+        assert iset.objective_values()[2] == pytest.approx(0.01)
+        assert iset.sample_counts[2] == 4
+        assert iset.npt == 3
+        assert iset.base_index == 0
+        iset.rebase()
+        assert iset.base_index == 2
+
+    def test_put_appends_without_rebase(self):
+        iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]])
+        iset.put(iset.npt, np.array([0.0, 1.0]), np.array([0.5]), n_samples=2)
+        assert iset.npt == 3
+        assert iset.values.shape == (3, 1)
+        np.testing.assert_array_equal(iset.points[2], [0.0, 1.0])
+        assert list(iset.sample_counts) == [1, 1, 2]
+        assert iset.base_index == 0
+
+    def test_put_rejects_residual_of_another_length(self):
+        iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="shape"):
+            iset.put(1, np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="shape"):
+            iset.put(1, np.array([0.0, 1.0]), np.array([1.0]))
+
+    def test_furthest_index_is_never_the_base(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            pts = rng.standard_normal((5, 2))
+            iset = make_set(pts, rng.standard_normal((5, 1)))
+            t = iset.furthest_index()
+            assert t != iset.base_index
+            dist = iset.distances_from(iset.base_point())
+            assert dist[t] == np.max(np.delete(dist, iset.base_index))
+        # With every point on top of the base, the base still never wins a tie.
+        iset = make_set([[0.0, 0.0]] * 3, [[0.0], [1.0], [2.0]])
+        assert iset.base_index == 0
+        assert iset.furthest_index() == 1

@@ -7,7 +7,6 @@ from dfls.problems import (
     NoiseModel,
     NoisyProblem,
     catalog,
-    evaluate,
     expected_noisy_objective,
     get_problem,
     noise_std_at,
@@ -142,14 +141,23 @@ class TestEvaluate:
     def test_zero_sigma_is_exact(self):
         p = get_problem("rosenbrock")
         noisy = NoisyProblem(p, NoiseModel("mult_gaussian", 0.0), seed=0)
-        np.testing.assert_array_equal(evaluate(noisy, p.x0), p.residual(p.x0))
+        np.testing.assert_array_equal(noisy(p.x0), p.residual(p.x0))
+
+    def test_last_residual_is_the_clean_residual(self):
+        p = get_problem("osborne1")
+        noisy = NoisyProblem(p, NoiseModel("mult_gaussian", 1e-2), seed=3)
+        for x in (p.x0, 1.1 * p.x0):
+            assert not np.array_equal(noisy(x), p.residual(x))
+            np.testing.assert_array_equal(noisy.last_residual, p.residual(x))
+        noisy.sample_mean(0.9 * p.x0, 4)
+        np.testing.assert_array_equal(noisy.last_residual, p.residual(0.9 * p.x0))
 
     def test_chi2_noise_never_shrinks_magnitudes(self):
         p = get_problem("osborne1")
         noisy = NoisyProblem(p, NoiseModel("add_chi2", 1e-1), seed=1)
         r = np.abs(p.residual(p.x0))
         for _ in range(50):
-            rt = evaluate(noisy, p.x0)
+            rt = noisy(p.x0)
             assert np.all(rt >= r - 1e-15)
 
     def test_additive_noise_objective_mean(self):
@@ -185,8 +193,8 @@ class TestEvaluate:
         a = NoisyProblem(p, NoiseModel("mult_gaussian", 1e-2), seed=5)
         b = NoisyProblem(p, NoiseModel("mult_gaussian", 1e-2), seed=5)
         xs = [p.x0, p.x0 * 1.1, p.x0 * 0.9]
-        seq_a = [evaluate(a, x) for x in xs for _ in range(3)]
-        seq_b = [evaluate(b, x) for x in xs for _ in range(3)]
+        seq_a = [a(x) for x in xs for _ in range(3)]
+        seq_b = [b(x) for x in xs for _ in range(3)]
         for ra, rb in zip(seq_a, seq_b):
             assert np.array_equal(ra, rb)
 
@@ -194,7 +202,7 @@ class TestEvaluate:
         p = get_problem("bard")
         a = NoisyProblem(p, NoiseModel("mult_gaussian", 1e-2), seed=5, run=0)
         b = NoisyProblem(p, NoiseModel("mult_gaussian", 1e-2), seed=5, run=1)
-        assert not np.array_equal(evaluate(a, p.x0), evaluate(b, p.x0))
+        assert not np.array_equal(a(p.x0), b(p.x0))
 
     def test_invalid_noise_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown noise kind"):

@@ -265,6 +265,23 @@ class TestMultiMove:
             assert d @ step > 0.0
             assert np.linalg.norm(d) <= loop.delta * (1 + 1e-12)
 
+    def test_momentum_box_limit_matches_coordinatewise_loop(self):
+        from dfls.trustregion import _max_feasible_step
+        rng = np.random.default_rng(5)
+        lower = np.array([-1.0, -np.inf, 0.0])
+        upper = np.array([2.0, 3.0, np.inf])
+        for _ in range(200):
+            x = rng.uniform([-1.0, -5.0, 0.0], [2.0, 3.0, 5.0])
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            ref = np.inf
+            for i in range(3):
+                if d[i] > 0 and np.isfinite(upper[i]):
+                    ref = min(ref, (upper[i] - x[i]) / d[i])
+                elif d[i] < 0 and np.isfinite(lower[i]):
+                    ref = min(ref, (lower[i] - x[i]) / d[i])
+            assert _max_feasible_step(x, d, np.inf, lower, upper) == max(ref, 0.0)
+
     def test_momentum_respects_bounds(self):
         lower, upper = np.array([-1.3, 0.9]), np.array([-1.1, 1.1])
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.5),
@@ -387,6 +404,20 @@ class TestSolve:
                        params=SolverParams(max_evals=2000))
         assert np.isfinite(result.f)
         assert result.f < 1e-8
+
+    def test_residual_length_change_at_a_step_raises(self):
+        calls = {"n": 0}
+
+        def fun(x):
+            calls["n"] += 1
+            # Calls 1-3 evaluate the initial set; call 4 is the first step.
+            if calls["n"] == 4:
+                return np.append(rosen(x), 0.0)
+            return rosen(x)
+
+        with pytest.raises(ValueError, match="shape"):
+            solve(fun, np.array([-1.2, 1.0]), seed=0, params=SolverParams(max_evals=200))
+        assert calls["n"] == 4
 
     def test_persistently_failing_residuals_raise(self):
         def fun(x):
