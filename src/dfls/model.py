@@ -42,12 +42,26 @@ logger = logging.getLogger("dfls")
 # have to be projected onto the bounds.
 MIN_INITIAL_STEP_FRAC = 1e-3
 
+# Cached square inverse: a rank-one update whose denominator |L_t(y)| is below
+# INVERSE_DENOM_TOL, or a cached inverse whose probe residual
+# ||W (Z v) - v|| / ||v|| exceeds INVERSE_PROBE_TOL, is refactorized from scratch.
+INVERSE_DENOM_TOL = 1e-3
+INVERSE_PROBE_TOL = 1e-10
+
 
 class InterpolationSet:
     """Point set with residual values, per-point sample counts and a base index.
 
     The base point is kept at the minimum of ||values[t]||^2 over the set;
     call sites that fill values lazily must call rebase() once done.
+
+    With exactly n+1 points the set caches Z = W^{-1}, the inverse of the
+    interpolation matrix with rows [1, (y_t - b_f)/alpha_f] in a frame (b_f,
+    alpha_f) fixed when Z was factorized. put() keeps Z current with one
+    Sherman-Morrison update per replaced point; square_inverse() maps it to
+    the current base and radius, so neither a base move nor a radius change
+    needs a hook. refactorizations counts the from-scratch factorizations by
+    cause: "first" use, n+1 "updates", small "denominator", failed "probe".
     """
 
     def __init__(self, points, values=None, sample_counts=None, base_index=0):
@@ -64,6 +78,11 @@ class InterpolationSet:
         else:
             self.sample_counts = np.asarray(sample_counts, dtype=int).copy()
         self.base_index = int(base_index)
+        self._inv = None           # Z in the frame (b_f, alpha_f), or None
+        self._frame = None
+        self._updates = 0          # rank-one updates since the last factorization
+        self._stale = "first"      # cause of the next factorization
+        self.refactorizations = {"first": 0, "updates": 0, "denominator": 0, "probe": 0}
 
     @property
     def npt(self):
@@ -106,6 +125,10 @@ class InterpolationSet:
         if self._fvals[t] < self._fvals[self.base_index]:
             self.base_index = t
 
+    def set_base(self, t):
+        """Point the base at slot t, whatever its objective value."""
+        self.base_index = int(t)
+
     def distances_from(self, center):
         diff = self.points - np.asarray(center, dtype=float)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -128,9 +151,78 @@ class InterpolationSet:
             self.sample_counts = np.append(self.sample_counts, 1)
             if self.values is not None:
                 self.values = np.vstack([self.values, np.full(self.values.shape[1], np.nan)])
+            self._drop_inverse("first")
         else:
+            if self._inv is not None:
+                self._update_inverse(t, np.asarray(point, dtype=float))
             self.points[t] = point
         self.set_value(t, value, n_samples)
+
+    def _drop_inverse(self, cause):
+        self._inv = None
+        self._stale = cause
+
+    def _update_inverse(self, t, y):
+        """Sherman-Morrison update of Z for row t moving to y.
+
+        The denominator is L_t(y), the t-th Lagrange polynomial in the frame;
+        column t becomes z_t / L_t(y) and column j loses z_t L_j(y) / L_t(y).
+        """
+        if self._updates > self.n:
+            self._drop_inverse("updates")
+            return
+        Z = self._inv
+        base, alpha = self._frame
+        ell = Z[0] + ((y - base) / alpha) @ Z[1:]
+        denom = ell[t]
+        if not abs(denom) >= INVERSE_DENOM_TOL:
+            self._drop_inverse("denominator")
+            return
+        zt = Z[:, t] / denom
+        ell[t] -= 1.0
+        Z -= np.outer(zt, ell)
+        self._updates += 1
+
+    def _probe_residual(self):
+        """||W (Z v) - v|| / ||v|| for a fixed v, with W in the frame: O(n^2)."""
+        base, alpha = self._frame
+        v = np.cos(np.arange(self.npt))
+        u = self._inv @ v
+        res = u[0] + ((self.points - base) / alpha) @ u[1:] - v
+        return float(np.linalg.norm(res) / np.linalg.norm(v))
+
+    def square_inverse(self):
+        """(Z, alpha): the inverse of the n+1 square interpolation matrix.
+
+        Z = W^{-1} for W with rows [1, (y_t - x_k)/alpha], x_k the base point
+        and alpha the set radius. Column t holds the coefficients of the
+        Lagrange polynomial L_t; Z @ values those of the linear model. The
+        cached frame inverse is mapped in O(n^2): Z_0 += ((x_k - b_f)/alpha_f) Z_1:,
+        then Z_1: *= alpha/alpha_f. Raises DegenerateSetError for a singular set.
+        """
+        if self.npt != self.n + 1:
+            raise ValueError("square_inverse needs exactly n+1 points")
+        alpha = set_radius(self)
+        if alpha <= 0.0:
+            raise DegenerateSetError("degenerate interpolation set")
+        if (self._inv is not None and self._updates
+                and not self._probe_residual() <= INVERSE_PROBE_TOL):
+            self._drop_inverse("probe")
+        if self._inv is None:
+            try:
+                inv = np.linalg.solve(_interp_matrix(self, alpha), np.eye(self.npt))
+            except np.linalg.LinAlgError:
+                raise DegenerateSetError("degenerate interpolation set") from None
+            self._inv = inv
+            self._frame = (self.base_point().copy(), alpha)
+            self._updates = 0
+            self.refactorizations[self._stale] += 1
+            self._stale = "first"
+        base, alpha_f = self._frame
+        Z = self._inv.copy()
+        Z[0] += ((self.base_point() - base) / alpha_f) @ Z[1:]
+        Z[1:] *= alpha / alpha_f
+        return Z, alpha
 
     def furthest_index(self):
         """Index of the non-base point furthest from the base point."""
@@ -311,52 +403,54 @@ def full_model(lm):
     return FullModel(c=float(lm.r @ lm.r), g=g, H=H)
 
 
+def _solve_interpolation(iset, rhs):
+    """(W^+ rhs, W^+, alpha) for the set's scaled system; needs p >= n.
+
+    With p == n, W^+ is the set's cached square inverse; with p > n it comes
+    from one least-squares solve against [rhs, I].
+    """
+    p = iset.npt - 1
+    if p < iset.n:
+        raise DegenerateSetError("degenerate interpolation set")
+    if p == iset.n:
+        Z, alpha = iset.square_inverse()
+        return Z @ rhs, Z, alpha
+    alpha = set_radius(iset)
+    if alpha <= 0.0:
+        raise DegenerateSetError("degenerate interpolation set")
+    k = rhs.shape[1]
+    Z = solve_regression(_interp_matrix(iset, alpha), np.hstack([rhs, np.eye(iset.npt)]))
+    return Z[:, :k], Z[:, k:], alpha
+
+
+def _basis(Z, alpha, iset):
+    if not np.all(np.isfinite(Z)):
+        raise DegenerateSetError("degenerate interpolation set")
+    return LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
+
+
 def lagrange_basis(iset):
     """Regression Lagrange polynomials of the set, centred at the base point.
 
     Requires p >= n points beyond the base and a full-column-rank system.
     """
-    p = iset.npt - 1
-    if p < iset.n:
-        raise DegenerateSetError("degenerate interpolation set")
-    alpha = set_radius(iset)
-    if alpha <= 0.0:
-        raise DegenerateSetError("degenerate interpolation set")
-    W = _interp_matrix(iset, alpha)
-    Z = solve_regression(W, np.eye(iset.npt))
-    return LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
+    _, Z, alpha = _solve_interpolation(iset, np.empty((iset.npt, 0)))
+    return _basis(Z, alpha, iset)
 
 
 def fit_model_and_basis(iset):
-    """Linear model and Lagrange basis from a single least-squares solve.
+    """Linear model and Lagrange basis from one factorization.
 
     Only valid in the regression regime (p >= n); the solver hot path uses
     this to avoid factorizing the interpolation matrix twice per iteration.
     """
-    p = iset.npt - 1
-    if p < iset.n:
-        raise DegenerateSetError("degenerate interpolation set")
-    alpha = set_radius(iset)
-    if alpha <= 0.0:
-        raise DegenerateSetError("degenerate interpolation set")
-    W = _interp_matrix(iset, alpha)
-    rhs = np.hstack([iset.values, np.eye(iset.npt)])
-    if W.shape[0] == W.shape[1]:
-        # Square system: LU is markedly cheaper than the SVD-based solve.
-        try:
-            Z = np.linalg.solve(W, rhs)
-        except np.linalg.LinAlgError:
-            raise DegenerateSetError("degenerate interpolation set") from None
-    else:
-        Z = solve_regression(W, rhs)
-    m = iset.values.shape[1]
-    r = Z[0, :m].copy()
-    J = Z[1:, :m].T / alpha
+    Zm, Zb, alpha = _solve_interpolation(iset, iset.values)
+    r = Zm[0].copy()
+    J = Zm[1:].T / alpha
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise DegenerateSetError("degenerate interpolation set")
     lm = LinearResidualModel(r=r, J=J, alpha=alpha, rank_repaired=False)
-    basis = LagrangeBasis(c=Z[0, m:].copy(), g=Z[1:, m:].T / alpha, center=iset.base_point().copy())
-    return lm, basis
+    return lm, _basis(Zb, alpha, iset)
 
 
 def poisedness_estimate(iset, center, delta):

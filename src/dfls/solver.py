@@ -202,6 +202,33 @@ def apply_variable_scaling(residual, x0, lower, upper):
     return scaled_residual, to_unit(x0), to_original, to_unit
 
 
+def _fix_variables(residual, x, free):
+    """Restrict a residual to the free coordinates of x; the others stay fixed.
+
+    Returns (free_residual, to_full): free_residual takes the free
+    coordinates only, and to_full puts them back among the fixed values.
+    """
+    x = np.array(x, dtype=float)
+
+    def to_full(z):
+        out = x.copy()
+        out[free] = z
+        return out
+
+    def free_residual(z):
+        return residual(to_full(z))
+
+    return free_residual, to_full
+
+
+def _residual_array(value):
+    """The residual as a float vector; any other shape is a ValueError."""
+    r = np.asarray(value, dtype=float)
+    if r.ndim != 1:
+        raise ValueError(f"residuals must return a 1-D array, got shape {r.shape}")
+    return r
+
+
 class _Loop:
     """State and phases of one solver run (single-threaded, owns all state)."""
 
@@ -240,10 +267,11 @@ class _Loop:
 
     def _eval_once(self, x):
         try:
-            r = np.asarray(self.fun(x), dtype=float)
+            value = self.fun(x)
         except Exception:
             logger.debug("objective evaluation raised; treating value as +inf")
             return None
+        r = _residual_array(value)
         if not np.all(np.isfinite(r)):
             return None
         return r
@@ -265,11 +293,13 @@ class _Loop:
         if batch is not None:
             self.n_evals += n_use
             try:
-                rbar = np.asarray(batch(x, n_use), dtype=float)
+                rbar = batch(x, n_use)
             except Exception:
                 rbar = None
-            if rbar is not None and not np.all(np.isfinite(rbar)):
-                rbar = None
+            if rbar is not None:
+                rbar = _residual_array(rbar)
+                if not np.all(np.isfinite(rbar)):
+                    rbar = None
         else:
             acc = None
             failed = False
@@ -522,7 +552,7 @@ class _Loop:
             # Continue from the best of the moved points, even if it is worse
             # than the point the previous iteration ended at.
             fvals = self.iset.objective_values()
-            self.iset.base_index = int(moved[int(np.argmin(fvals[moved]))])
+            self.iset.set_base(moved[int(np.argmin(fvals[moved]))])
         else:
             self.iset.rebase()
 
@@ -686,9 +716,12 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
 
     Parameters
     ----------
-    residuals : callable mapping a point in R^n to a residual vector in R^m.
-    x0 : starting point (clipped into the bounds if needed).
-    bounds : optional (lower, upper) pair of vectors or scalars.
+    residuals : callable mapping a point in R^n to a 1-D residual vector in R^m.
+    x0 : finite starting point (clipped into the bounds if needed).
+    bounds : optional (lower, upper) pair of vectors or scalars. Variables
+        with lower == upper are fixed: the solver works in the free
+        coordinates only, and when every variable is fixed it evaluates x0
+        once and returns with exit flag "small_trust_region".
     params : SolverParams; omitted fields get smooth or noisy defaults.
     seed, rng : seed the solver's random stream (ignored when rng is given).
     eval_hook : optional callable (n_evals, x, f_observed, n_samples) invoked
@@ -699,29 +732,45 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
     observed objective value, the evaluation count and the exit flag.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = x0.size
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if params is None:
         params = SolverParams()
     if rng is None:
         rng = np.random.default_rng(seed)
 
     from .model import _bounds_arrays
-    lower, upper = _bounds_arrays(bounds, n)
+    lower, upper = _bounds_arrays(bounds, x0.size)
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
     x0 = np.clip(x0, lower, upper)
 
-    to_original = None
+    maps = []  # solver coordinates -> caller coordinates, innermost first
     fun = residuals
+    free = lower < upper
+    if not np.all(free):
+        if not np.any(free):
+            return _evaluate_fixed_point(residuals, x0, eval_hook)
+        fun, to_full = _fix_variables(residuals, x0, free)
+        x0, lower, upper = x0[free], lower[free], upper[free]
+        maps.append(to_full)
+    n = x0.size
     if params.scale_variables:
-        fun, x0, to_original, to_unit = apply_variable_scaling(residuals, x0, lower, upper)
+        fun, x0, to_original, _ = apply_variable_scaling(fun, x0, lower, upper)
         lower = np.zeros(n)
         upper = np.ones(n)
-        if eval_hook is not None:
-            inner_hook = eval_hook
+        maps.insert(0, to_original)
 
-            def eval_hook(n_evals, u, fbar, nsamp):
-                inner_hook(n_evals, to_original(u), fbar, nsamp)
+    def to_caller(z):
+        for to_outer in maps:
+            z = to_outer(z)
+        return z
+
+    if eval_hook is not None and maps:
+        inner_hook = eval_hook
+
+        def eval_hook(n_evals, z, fbar, nsamp):
+            inner_hook(n_evals, to_caller(z), fbar, nsamp)
 
     rp = resolve_params(params, n, float(np.max(np.abs(x0))) if n else 1.0)
     loop = _Loop(fun, x0, lower, upper, rp, rng, eval_hook, record_trace)
@@ -729,6 +778,17 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
     # not exceptions, so the numpy warnings carry no information here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         results = loop.run()
-    if to_original is not None:
-        results.x = to_original(results.x)
+    results.x = to_caller(results.x)
     return results
+
+
+def _evaluate_fixed_point(residuals, x, eval_hook):
+    """Every variable is fixed (lower == upper): one evaluation is the solve."""
+    r = _residual_array(residuals(x))
+    f = float(r @ r)
+    if not np.isfinite(f):
+        raise RuntimeError("objective evaluation failed at the starting point")
+    if eval_hook is not None:
+        eval_hook(1, x.copy(), f, 1)
+    return Results(x=x, f=f, n_evals=1, exit_flag=EXIT_SMALL_TRUST_REGION,
+                   diagnostics={"iterations": 0, "n_restarts": 0})

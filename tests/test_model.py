@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfls.linalg import DegenerateSetError
+from dfls.linalg import DegenerateSetError, random_orthonormal, random_unit
 from dfls.model import (
+    INVERSE_DENOM_TOL,
     InterpolationSet,
     LagrangeBasis,
     build_initial_set,
@@ -470,3 +473,137 @@ class TestSetMaintenance:
         iset = make_set([[0.0, 0.0]] * 3, [[0.0], [1.0], [2.0]])
         assert iset.base_index == 0
         assert iset.furthest_index() == 1
+
+
+def scaled_matrix(points, base_index):
+    xk = points[base_index]
+    alpha = np.max(np.linalg.norm(points - xk, axis=1))
+    return np.hstack([np.ones((points.shape[0], 1)), (points - xk) / alpha]), alpha
+
+
+def scratch_fit(iset):
+    """r, J, basis c and basis g from np.linalg.solve on the square system."""
+    W, alpha = scaled_matrix(iset.points, iset.base_index)
+    Z = np.linalg.solve(W, np.hstack([iset.values, np.eye(iset.npt)]))
+    m = iset.m
+    return (Z[0, :m], Z[1:, :m].T / alpha, Z[0, m:], Z[1:, m:].T / alpha), np.linalg.cond(W)
+
+
+def cached_fit(iset):
+    lm, basis = fit_model_and_basis(iset)
+    return lm.r, lm.J, basis.c, basis.g
+
+
+def square_set(n, rng, m=3):
+    pts = np.vstack([np.zeros(n), random_orthonormal(n, n, rng)])
+    return make_set(pts, rng.standard_normal((n + 1, m)))
+
+
+def point_with_lagrange_value(iset, t, value):
+    """A point y at which the t-th Lagrange polynomial equals value."""
+    basis = lagrange_basis(iset)
+    g = basis.g[t]
+    return basis.center + (value - basis.c[t]) * g / (g @ g)
+
+
+# Cached and from-scratch results agree to this relative tolerance on sets whose
+# interpolation matrix has a condition number of at most COND_CHECKED.
+CACHE_RTOL = 1e-8
+COND_CHECKED = 1e4
+
+
+class TestSquareInverseCache:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.sampled_from(["put", "far", "near", "tiny", "rebase", "base"]),
+                        min_size=1, max_size=40))
+    def test_cached_path_matches_scratch_solve(self, n, seed, ops):
+        rng = np.random.default_rng(seed)
+        iset = square_set(n, rng)
+        cached_fit(iset)
+        since = 0  # replacements since the last from-scratch factorization
+        for op in ops:
+            counts = dict(iset.refactorizations)
+            xk = iset.base_point()
+            radius = np.max(iset.distances_from(xk))
+            t = int(rng.integers(iset.npt))
+            if op in ("put", "far", "near", "tiny"):
+                if op == "tiny":  # |L_t(y)| below the update tolerance
+                    y = point_with_lagrange_value(iset, t, 1e-2 * INVERSE_DENOM_TOL)
+                else:
+                    if op == "near":  # shrink the radius: replace the furthest point
+                        t = iset.furthest_index()
+                    scale = {"put": (0.2, 1.0), "far": (2.0, 5.0), "near": (0.01, 0.1)}[op]
+                    y = xk + radius * rng.uniform(*scale) * random_unit(rng, n)
+                points = iset.points.copy()
+                points[t] = y
+                W, alpha = scaled_matrix(points, iset.base_index)
+                if not alpha > 1e-4 or np.linalg.cond(W) > 1e8:
+                    continue  # keep the sets nonsingular and wider than rounding
+                iset.put(t, y, rng.standard_normal(3))
+                since += 1
+            elif op == "rebase":
+                iset.rebase()
+            else:  # a direct base move, which the cache never hears about
+                iset.base_index = t
+            reference, cond = scratch_fit(iset)
+            got = cached_fit(iset)
+            fresh = sum(iset.refactorizations.values()) - sum(counts.values())
+            if op == "tiny":
+                assert fresh == 1
+                if since <= n + 1:
+                    assert iset.refactorizations["denominator"] == counts["denominator"] + 1
+            if since > n + 1:
+                assert fresh == 1
+            if fresh:
+                since = 0
+            if cond <= COND_CHECKED:
+                for a, b in zip(got, reference):
+                    assert np.linalg.norm(a - b) <= CACHE_RTOL * max(np.linalg.norm(b), 1.0)
+
+    def test_refactorizes_after_n_plus_one_updates(self):
+        n = 4
+        rng = np.random.default_rng(20)
+        iset = square_set(n, rng)
+        for k in range(n + 2):
+            cached_fit(iset)
+            y = iset.base_point() + rng.uniform(0.5, 1.0) * random_unit(rng, n)
+            iset.put(1 + k % n, y, rng.standard_normal(3))
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 0, "probe": 0}
+        cached_fit(iset)
+        assert iset.refactorizations == {"first": 1, "updates": 1, "denominator": 0, "probe": 0}
+
+    def test_small_denominator_refactorizes(self):
+        rng = np.random.default_rng(21)
+        iset = square_set(3, rng)
+        cached_fit(iset)
+        y = point_with_lagrange_value(iset, 2, 0.5 * INVERSE_DENOM_TOL)
+        iset.put(2, y, rng.standard_normal(3))
+        got = cached_fit(iset)
+        assert iset.refactorizations["denominator"] == 1
+        reference, _ = scratch_fit(iset)
+        for a, b in zip(got, reference):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max())
+
+    def test_probe_catches_a_stale_inverse(self):
+        rng = np.random.default_rng(22)
+        iset = square_set(3, rng)
+        cached_fit(iset)
+        iset.put(1, iset.points[1] + 0.3 * random_unit(rng, 3), rng.standard_normal(3))
+        cached_fit(iset)
+        iset.points[2] += 0.4 * random_unit(rng, 3)  # a write that bypasses put
+        got = cached_fit(iset)
+        assert iset.refactorizations["probe"] == 1
+        reference, _ = scratch_fit(iset)
+        for a, b in zip(got, reference):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_append_drops_the_inverse(self):
+        rng = np.random.default_rng(23)
+        pts = np.vstack([np.zeros(3), random_orthonormal(3, 2, rng)])
+        iset = make_set(pts, rng.standard_normal((3, 2)))
+        iset.put(3, np.array([0.0, 0.0, 0.0]) + random_unit(rng, 3), rng.standard_normal(2))
+        cached_fit(iset)
+        iset.put(4, random_unit(rng, 3), rng.standard_normal(2))
+        fit_model_and_basis(iset)  # tall: regression, no cache read
+        assert iset.refactorizations["first"] == 1

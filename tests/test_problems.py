@@ -117,24 +117,31 @@ class TestCatalog:
             assert p.residual(p.x0).shape == (p.m,)
 
     def test_f_star_reproduced_by_derivative_based_oracle(self):
-        # Re-derive every reference optimum with an independent high-accuracy
-        # solver started from x0 and compare to 6 significant digits.
+        # Re-derive every reference optimum with independent high-accuracy
+        # solvers started from x0 and compare the best to 6 significant digits.
+        # Two derivative-based methods run from x0, because either one alone
+        # can stop at a minimum at infinity (box_3d_x10 under "lm" drives x[1]
+        # to about 6e5 and stops at f = 0.0756), and x0 is kept as the only
+        # start, because perturbed starts leave the basin that defines f*
+        # (bard_x10 has f* = 17.43 from x0 and f = 8.2e-3 elsewhere).
         from scipy.optimize import least_squares
 
         for p in catalog():
             if p.n > 30:
                 continue  # oracle agreement is checked on the small problems
-            method = "lm" if p.m >= p.n else "trf"
-            jac = "2-point" if method == "lm" else "3-point"
-            res = least_squares(p.residual, p.x0, jac=jac, method=method,
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
-            res = least_squares(p.residual, res.x, jac=jac, method=method,
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
-            f_oracle = 2.0 * res.cost
+            methods = ("lm", "trf") if p.m >= p.n else ("trf",)
+            f_oracle = np.inf
+            for method in methods:
+                jac = "2-point" if method == "lm" else "3-point"
+                res = least_squares(p.residual, p.x0, jac=jac, method=method,
+                                    xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
+                res = least_squares(p.residual, res.x, jac=jac, method=method,
+                                    xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
+                f_oracle = min(f_oracle, 2.0 * res.cost)
             if p.f_star == 0.0:
-                assert f_oracle < 1e-15
+                assert f_oracle < 1e-15, p.name
             else:
-                assert f_oracle == pytest.approx(p.f_star, rel=1e-6)
+                assert f_oracle == pytest.approx(p.f_star, rel=1e-6), p.name
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,62 @@ class TestVariableScaling:
         assert abs(r1.f - r2.f) <= 1e-6 * max(1.0, r1.f)
 
 
+class TestFixedVariables:
+    def test_fixed_coordinate_is_solved_in_the_free_one(self):
+        # rosenbrock with x[1] = 1 is f(z) = 100 (1 - z^2)^2 + (1 - z)^2, whose
+        # stationary points are the roots of 400 z^3 - 398 z - 2. From z = -1.2
+        # the local minimum near z = -0.995 (f = 3.99) is the nearest one; from
+        # z = 0.5 it is the constrained optimum f = 0 at z = 1.
+        bounds = (np.array([-np.inf, 1.0]), np.array([np.inf, 1.0]))
+        roots = np.sort(np.roots([400.0, 0.0, -398.0, -2.0]).real)
+        for x0, z_star in (([-1.2, 1.0], roots[0]), ([0.5, 1.0], roots[2])):
+            seen = []
+            result = solve(rosen, np.array(x0), bounds=bounds, seed=0,
+                           params=SolverParams(max_evals=300),
+                           eval_hook=lambda k, x, f, n: seen.append(x.copy()))
+            f_star = float(np.sum(rosen(np.array([z_star, 1.0])) ** 2))
+            assert abs(result.f - f_star) <= 1e-6
+            assert result.exit_flag != EXIT_BUDGET
+            assert result.x.shape == (2,) and result.x[1] == 1.0
+            assert len(seen) == result.n_evals and all(x[1] == 1.0 for x in seen)
+
+    def test_fixed_coordinate_with_variable_scaling(self):
+        bounds = (np.array([-2.0, 1.0]), np.array([2.0, 1.0]))
+        result = solve(rosen, np.array([0.5, 1.0]), bounds=bounds, seed=0,
+                       params=SolverParams(max_evals=300, scale_variables=True))
+        assert result.f <= 1e-6
+        assert result.x[1] == 1.0
+
+    def test_every_variable_fixed_evaluates_once(self):
+        seen = []
+        result = solve(rosen, np.array([0.3, 0.7]), bounds=([0.5, 1.0], [0.5, 1.0]),
+                       eval_hook=lambda *args: seen.append(args))
+        assert result.n_evals == 1 and len(seen) == 1
+        np.testing.assert_array_equal(result.x, [0.5, 1.0])
+        assert result.f == float(np.sum(rosen(np.array([0.5, 1.0])) ** 2))
+        assert result.exit_flag == EXIT_SMALL_TRUST_REGION
+
+
+class TestSolveBoundary:
+    def test_nonfinite_x0_raises(self):
+        for bad in ([np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="x0"):
+                solve(rosen, np.array(bad))
+
+    def test_residual_of_another_dimension_raises_at_first_evaluation(self):
+        for fun, shape in ((lambda x: float(rosen(x) @ rosen(x)), "()"),
+                           (lambda x: np.outer(x, x), "(2, 2)")):
+            calls = []
+
+            def counted(x, fun=fun):
+                calls.append(x)
+                return fun(x)
+
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                solve(counted, np.array([-1.2, 1.0]), seed=0)
+            assert len(calls) == 1
+
+
 class TestSolve:
     def test_rosenbrock_to_high_accuracy(self):
         result = solve(rosen, np.array([-1.2, 1.0]), seed=0,
@@ -420,14 +478,17 @@ class TestSolve:
         assert calls["n"] == 4
 
     def test_persistently_failing_residuals_raise(self):
+        calls = {"n": 0}
+
         def fun(x):
-            if x[0] > 0.5:
+            calls["n"] += 1
+            if calls["n"] > 3:  # every evaluation after the initial set fails
                 raise FloatingPointError("out of domain")
             return rosen(x)
 
-        # The optimum sits inside the failing region, so the failures never stop.
         with pytest.raises(RuntimeError, match="persistent"):
             solve(fun, np.array([-1.2, 1.0]), seed=0, params=SolverParams(max_evals=5000))
+        assert calls["n"] == 3 + 51
 
     def test_smooth_exit_flags(self):
         for params in (SolverParams(max_evals=5000),
