@@ -230,20 +230,6 @@ class InterpolationSet:
         dist[self.base_index] = -np.inf
         return int(np.argmax(dist))
 
-    def update(self, new_point, new_value, replace_index=None, n_samples=1):
-        """Append (growing) or replace one point, then re-point the base.
-
-        Duplicate points and replacing the base point are rejected.
-        """
-        new_point = np.asarray(new_point, dtype=float)
-        if self.has_point(new_point):
-            raise ValueError("duplicate interpolation point")
-        if replace_index == self.base_index:
-            raise ValueError("cannot replace the base point")
-        self.put(self.npt if replace_index is None else replace_index,
-                 new_point, new_value, n_samples)
-        self.rebase()
-
 
 @dataclass
 class LinearResidualModel:
@@ -252,7 +238,6 @@ class LinearResidualModel:
     r: np.ndarray          # (m,)
     J: np.ndarray          # (m, n)
     alpha: float           # max distance of set points from the base
-    rank_repaired: bool = False
 
 
 @dataclass
@@ -374,7 +359,6 @@ def build_linear_model(iset, repair_rank=True):
     alpha = set_radius(iset)
     if alpha <= 0.0:
         raise DegenerateSetError("degenerate interpolation set")
-    repaired = False
     if p >= n:
         W = _interp_matrix(iset, alpha)
         Z = solve_regression(W, iset.values)
@@ -388,12 +372,11 @@ def build_linear_model(iset, repair_rank=True):
         Z = solve_min_norm(W, iset.values)
         r = Z[0].copy()
         J = Z[1:].T / scale
-        if repair_rank and p < n:
+        if repair_rank:
             J = clamp_singular_values(J, p)
-            repaired = True
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise DegenerateSetError("degenerate interpolation set")
-    return LinearResidualModel(r=r, J=J, alpha=alpha, rank_repaired=repaired)
+    return LinearResidualModel(r=r, J=J, alpha=alpha)
 
 
 def full_model(lm):
@@ -449,7 +432,7 @@ def fit_model_and_basis(iset):
     J = Zm[1:].T / alpha
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise DegenerateSetError("degenerate interpolation set")
-    lm = LinearResidualModel(r=r, J=J, alpha=alpha, rank_repaired=False)
+    lm = LinearResidualModel(r=r, J=J, alpha=alpha)
     return lm, _basis(Zb, alpha, iset)
 
 

@@ -3,8 +3,9 @@
 Fields left as None are resolved at solve time from the problem dimension and
 the `noisy` flag: gamma_dec/alpha1/alpha2 default to (0.5, 0.1, 0.5) for
 smooth objectives and (0.98, 0.9, 0.95) for noisy ones, p defaults to n,
-p_init to p, delta0 to 0.1*max(||x0||_inf, 1), and restarts default to
-enabled (soft, moving the base point) exactly when the objective is noisy.
+p_init to p, delta0 to 0.1*max(||x0||_inf, 1) clamped to half the narrowest
+free box width, and restarts default to enabled (soft, moving the base point)
+exactly when the objective is noisy.
 """
 
 import math
@@ -108,8 +109,14 @@ def nsamples_policy(spec):
     raise ValueError(f"unknown nsamples policy {spec!r}")
 
 
-def resolve_params(params, n, x0_norm_inf):
-    """Fill in dimension- and noise-dependent defaults and validate invariants."""
+def resolve_params(params, n, x0_norm_inf, box_width=math.inf):
+    """Fill in dimension- and noise-dependent defaults and validate invariants.
+
+    box_width is the narrowest width of the box over the free variables. Half
+    of it caps delta0, so the initial points fit in the box: the default is
+    clamped to it, and an explicit delta0 above it, or a half-width no larger
+    than rho_end, is a ValueError.
+    """
     p = replace(params)
     noisy = p.noisy
     if p.gamma_dec is None:
@@ -119,7 +126,7 @@ def resolve_params(params, n, x0_norm_inf):
     if p.alpha2 is None:
         p.alpha2 = 0.95 if noisy else 0.5
     if p.delta0 is None:
-        p.delta0 = 0.1 * max(x0_norm_inf, 1.0)
+        p.delta0 = min(0.1 * max(x0_norm_inf, 1.0), 0.5 * box_width)
     if p.p is None:
         p.p = n
     if p.p_init is None:
@@ -139,6 +146,12 @@ def resolve_params(params, n, x0_norm_inf):
         raise ValueError("need 0 < alpha1 < alpha2 < 1")
     if not 0.0 < p.eta1 <= p.eta2 < 1.0:
         raise ValueError("need 0 < eta1 <= eta2 < 1")
+    if not 0.5 * box_width > p.rho_end:
+        raise ValueError(f"the narrowest free box width {box_width:g} must exceed "
+                         f"2 * rho_end = {2.0 * p.rho_end:g}")
+    if p.delta0 > 0.5 * box_width:
+        raise ValueError(f"delta0 = {p.delta0:g} exceeds half the narrowest free "
+                         f"box width {box_width:g}")
     if not 0.0 < p.rho_end < p.delta0 <= p.delta_max:
         raise ValueError("need 0 < rho_end < delta0 <= delta_max")
     if not 0.0 < p.omega_safety < 1.0:

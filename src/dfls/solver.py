@@ -772,7 +772,8 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
         def eval_hook(n_evals, z, fbar, nsamp):
             inner_hook(n_evals, to_caller(z), fbar, nsamp)
 
-    rp = resolve_params(params, n, float(np.max(np.abs(x0))) if n else 1.0)
+    rp = resolve_params(params, n, float(np.max(np.abs(x0))) if n else 1.0,
+                        box_width=float(np.min(upper - lower, initial=np.inf)))
     loop = _Loop(fun, x0, lower, upper, rp, rng, eval_hook, record_trace)
     # Overflowing models and +inf objective values are handled by rejection,
     # not exceptions, so the numpy warnings carry no information here.

@@ -9,7 +9,16 @@ against the decrease bound
 
 and the module keeps counters so a whole benchmark run can be audited for
 violations afterwards.
+
+The exact spectral norm ||H|| enters only two tests, the Cauchy point's
+degenerate-curvature test and the bound above, and each is monotone in it.
+Both are first decided from certified bounds on ||H|| that cost O(n^2); the
+eigendecomposition runs only when a bound cannot decide, and the test is then
+repeated with the exact norm, so steps and audit outcomes are those of the
+exact test.
 """
+
+import math
 
 import numpy as np
 
@@ -18,7 +27,7 @@ __all__ = ["solve_trust_region", "cauchy_point", "contract_stats", "reset_contra
 _FEAS_TOL = 1e-12
 
 # Decrease-contract audit counters (per process).
-_STATS = {"checks": 0, "violations": 0}
+_STATS = {"checks": 0, "violations": 0, "exact_norms": 0}
 
 
 def contract_stats():
@@ -26,8 +35,8 @@ def contract_stats():
 
 
 def reset_contract_stats():
-    _STATS["checks"] = 0
-    _STATS["violations"] = 0
+    for key in _STATS:
+        _STATS[key] = 0
 
 
 def _bounds(lower, upper, n):
@@ -62,7 +71,8 @@ def cauchy_point(model, delta, lower=None, upper=None, hnorm=None):
     The computed directional curvature d.H.d can round to zero or negative
     when H mixes huge magnitudes (ill-conditioned interpolation sets); in
     that regime the spectral norm of H, which is computed stably, bounds the
-    curvature instead so the step can never increase the model.
+    curvature instead so the step can never increase the model. hnorm is the
+    _HessianNorm of model.H along d = -g/||g|| (built here when omitted).
     """
     g = model.g
     n = g.size
@@ -70,16 +80,20 @@ def cauchy_point(model, delta, lower=None, upper=None, hnorm=None):
     gnorm = np.sqrt(float(g @ g))
     if gnorm == 0.0:
         return np.zeros(n)
-    if hnorm is None:
-        hnorm = _spectral_norm(model.H)
     d = -g / gnorm
+    if hnorm is None:
+        hnorm = _HessianNorm(model.H, d)
     box = not (np.all(np.isinf(lo)) and np.all(np.isinf(up)))
     t_max = _max_feasible_step(np.zeros(n), d, delta, lo, up, box=box)
-    curv = float(d @ model.H @ d)
-    if curv > 1e-8 * hnorm and curv > 0.0:
+    curv = hnorm.curv
+    # curv > 1e-8 * upper implies curv > 1e-8 ||H||; only the other case
+    # needs the exact norm, to decide the test or to bound the curvature.
+    if curv > 1e-8 * hnorm.upper and curv > 0.0:
         t_opt = gnorm / curv
-    elif hnorm > 0.0:
-        t_opt = gnorm / hnorm  # conservative curvature bound
+    elif curv > 1e-8 * hnorm.exact() and curv > 0.0:
+        t_opt = gnorm / curv
+    elif hnorm.exact() > 0.0:
+        t_opt = gnorm / hnorm.exact()  # conservative curvature bound
     else:
         t_opt = np.inf
     t = min(t_opt, t_max)
@@ -91,6 +105,36 @@ def _spectral_norm(H):
     if H.shape[0] == 1:
         return abs(float(H[0, 0]))
     return float(np.linalg.eigvalsh(H)[-1])
+
+
+class _HessianNorm:
+    """Certified bounds lower <= ||H|| <= upper, and ||H|| itself on demand.
+
+    d is a unit vector (-g/||g||). lower is ||d^T H||, taken from the product
+    that also gives the curvature d.H.d (evaluated as (d @ H) @ d, as the
+    Cauchy point always did); upper is the largest absolute row sum of H.
+    Each carries a 4(n+4) eps margin for the rounding of both norms and of
+    eigvalsh. exact() runs the eigendecomposition once, counts it, and then
+    serves as both bounds; non-finite bounds get it at once.
+    """
+
+    def __init__(self, H, d):
+        margin = 4.0 * (d.size + 4) * _EPS
+        dH = d @ H
+        self.H = H
+        self.curv = float(dH @ d)
+        self.lower = math.sqrt(float(dH @ dH)) * (1.0 - margin)
+        self.upper = float(np.abs(H).sum(axis=1).max()) * (1.0 + margin)
+        self._exact = None
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            self.exact()
+
+    def exact(self):
+        if self._exact is None:
+            self._exact = _spectral_norm(self.H)
+            self.lower = self.upper = self._exact
+            _STATS["exact_norms"] += 1
+        return self._exact
 
 
 def _cg_ball_only(model, s0, delta, max_iter):
@@ -208,15 +252,15 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     if gnorm == 0.0:
         return np.zeros(n)
 
-    hnorm = _spectral_norm(model.H)
+    d = -g / gnorm
+    hnorm = _HessianNorm(model.H, d)
     unconstrained = bool(np.all(np.isinf(lo)) and np.all(np.isinf(up)))
     # With bounds, the reachable length along -g caps the decrease any step
     # can achieve; without bounds this is exactly the ball radius.
     if unconstrained:
         t_reach = delta
     else:
-        t_reach = _max_feasible_step(np.zeros(n), -g / gnorm, delta, lo, up)
-    bound = 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
+        t_reach = _max_feasible_step(np.zeros(n), d, delta, lo, up)
     s_c = _finalize(cauchy_point(model, delta, lo, up, hnorm=hnorm), lo, up, delta)
     if unconstrained:
         s = _cg_ball_only(model, s_c, delta, max_iter=2 * n)
@@ -229,20 +273,19 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     # noise-limited for the huge near-singular models an ill-conditioned
     # interpolation set can produce, while the Cauchy step always evaluates
     # cleanly (its products stay at the scale of the bound).
-    decrease, tol = _decrease_with_tol(model, s, gnorm, bound)
-    dec_c, tol_c = _decrease_with_tol(model, s_c, gnorm, bound)
-    if not (decrease >= dec_c and decrease >= bound - tol):
-        s = s_c
-        decrease, tol = dec_c, tol_c
+    cg = _decrease(model, s, gnorm)
+    cauchy = _decrease(model, s_c, gnorm)
+    bound, keep_cg, passes = _certified_audit(gnorm, t_reach, hnorm, cg, cauchy)
 
     _STATS["checks"] += 1
-    if decrease < bound - tol:
+    if not passes:
         _STATS["violations"] += 1
+        decrease = (cg if keep_cg else cauchy)[0]
         raise AssertionError(
             "trust-region step failed the Cauchy decrease bound: "
             f"decrease={decrease:.6e} bound={bound:.6e}"
         )
-    return s
+    return s if keep_cg else s_c
 
 
 def _finalize(s, lo, up, delta):
@@ -257,11 +300,16 @@ def _finalize(s, lo, up, delta):
 _EPS = float(np.finfo(float).eps)
 
 
-def _decrease_with_tol(model, s, gnorm, bound):
-    """Model decrease at s and the rounding tolerance of its evaluation.
+def _cauchy_bound(gnorm, t_reach, hnorm):
+    return 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
 
-    The tolerance covers exact-equality cases (isotropic H) at the scale of
-    the bound plus the cancellation error of the two dot products.
+
+def _decrease(model, s, gnorm):
+    """Model decrease at s and the rounding error of its evaluation.
+
+    The error is the cancellation error of the two dot products; _audit adds
+    the allowance for exact-equality cases (isotropic H) at the scale of the
+    bound.
     """
     Hs = model.H @ s
     gs = float(model.g @ s)
@@ -270,5 +318,34 @@ def _decrease_with_tol(model, s, gnorm, bound):
     n = s.size
     snorm = np.sqrt(float(s @ s))
     cancel = gnorm * snorm + 0.5 * snorm * np.sqrt(float(Hs @ Hs))
-    tol = 1e-12 * max(1.0, abs(bound)) + 8.0 * (n + 4) * _EPS * cancel
-    return decrease, tol
+    return decrease, 8.0 * (n + 4) * _EPS * cancel
+
+
+def _audit(bound, cg, cauchy):
+    """(keep the CG step, the kept step passes) for one bound.
+
+    cg and cauchy are the (decrease, rounding error) pairs of the two steps.
+    """
+    def threshold(rounding):
+        return bound - (1e-12 * max(1.0, abs(bound)) + rounding)
+
+    keep_cg = cg[0] >= cauchy[0] and cg[0] >= threshold(cg[1])
+    decrease, rounding = cg if keep_cg else cauchy
+    return keep_cg, not decrease < threshold(rounding)
+
+
+def _certified_audit(gnorm, t_reach, hnorm, cg, cauchy):
+    """_audit at the exact ||H||, decided from hnorm.lower when that can.
+
+    The lower bound on ||H|| gives a bound no smaller than the exact one, and
+    both tests get harder as the bound grows. So an outcome that passes and
+    keeps CG, or passes and falls back because CG loses to the Cauchy step
+    outright, is the exact test's outcome too; otherwise ||H|| decides.
+    Returns (bound, keep the CG step, the kept step passes).
+    """
+    bound = _cauchy_bound(gnorm, t_reach, hnorm.lower)
+    keep_cg, passes = _audit(bound, cg, cauchy)
+    if not (passes and (keep_cg or cg[0] < cauchy[0])):
+        bound = _cauchy_bound(gnorm, t_reach, hnorm.exact())
+        keep_cg, passes = _audit(bound, cg, cauchy)
+    return bound, keep_cg, passes

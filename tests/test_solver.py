@@ -416,6 +416,37 @@ class TestSolveBoundary:
             assert len(calls) == 1
 
 
+class TestNarrowBoxes:
+    @staticmethod
+    def box(width):
+        # x0 = [-1.2, 1] sits on the lower face of x[0]; the box optimum of
+        # rosenbrock is its corner [-1.2 + width, 1 + width / 2].
+        return np.array([-1.2, 1.0 - width / 2]), np.array([-1.2 + width, 1.0 + width / 2])
+
+    def test_box_narrower_than_default_delta0_reaches_its_corner(self):
+        for width in (1e-1, 1e-3, 1e-5):
+            lower, upper = self.box(width)
+            result = solve(rosen, np.array([-1.2, 1.0]), bounds=(lower, upper), seed=0)
+            assert np.all(result.x >= lower) and np.all(result.x <= upper)
+            corner = rosen(upper)
+            assert result.f <= float(corner @ corner) * (1.0 + 1e-12)
+
+    def test_default_delta0_is_clamped_to_half_the_narrowest_free_width(self):
+        assert resolve_params(SolverParams(), 2, 1.2).delta0 == pytest.approx(0.12)
+        assert resolve_params(SolverParams(), 2, 1.2, box_width=1e-5).delta0 == 5e-6
+        assert resolve_params(SolverParams(), 2, 1.2, box_width=1.0).delta0 == pytest.approx(0.12)
+
+    def test_explicit_delta0_wider_than_the_box_raises(self):
+        with pytest.raises(ValueError, match="box width 1e-05"):
+            solve(rosen, np.array([-1.2, 1.0]), bounds=self.box(1e-5),
+                  params=SolverParams(delta0=1e-3))
+
+    def test_half_width_not_above_rho_end_raises(self):
+        with pytest.raises(ValueError, match="box width 1e-05"):
+            solve(rosen, np.array([-1.2, 1.0]), bounds=self.box(1e-5),
+                  params=SolverParams(rho_end=1e-5))
+
+
 class TestSolve:
     def test_rosenbrock_to_high_accuracy(self):
         result = solve(rosen, np.array([-1.2, 1.0]), seed=0,
