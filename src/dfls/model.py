@@ -346,34 +346,29 @@ def set_radius(iset):
 def build_linear_model(iset, repair_rank=True):
     """Fit the linear residual model to the current set.
 
-    With p >= n points beyond the base this is the least-squares fit of the
-    (preconditioned) interpolation system; with p < n it is the exact
-    interpolant minimizing ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank
-    p and is then made full-rank by raising its trailing singular values
-    (unless repair_rank is false, for the perturbed-step growing variant).
+    With p >= n points beyond the base this is fit_model_and_basis's model
+    (the cached square inverse, or the least-squares fit of the tall
+    system); with p < n it is the exact interpolant minimizing
+    ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank p and is then made
+    full-rank by raising its trailing singular values (unless repair_rank is
+    false, for the perturbed-step growing variant).
     """
     if iset.values is None or np.any(np.isnan(iset.values)):
         raise ValueError("interpolation set has unevaluated points")
     p = iset.npt - 1
-    n = iset.n
+    if p >= iset.n:
+        return fit_model_and_basis(iset)[0]
     alpha = set_radius(iset)
     if alpha <= 0.0:
         raise DegenerateSetError("degenerate interpolation set")
-    if p >= n:
-        W = _interp_matrix(iset, alpha)
-        Z = solve_regression(W, iset.values)
-        r = Z[0].copy()
-        J = Z[1:].T / alpha
-    else:
-        # Column scaling by sqrt(alpha) makes the minimal-norm objective
-        # exactly ||r||^2 + alpha ||J||_F^2.
-        scale = np.sqrt(alpha)
-        W = _interp_matrix(iset, scale)
-        Z = solve_min_norm(W, iset.values)
-        r = Z[0].copy()
-        J = Z[1:].T / scale
-        if repair_rank:
-            J = clamp_singular_values(J, p)
+    # Column scaling by sqrt(alpha) makes the minimal-norm objective
+    # exactly ||r||^2 + alpha ||J||_F^2.
+    scale = np.sqrt(alpha)
+    Z = solve_min_norm(_interp_matrix(iset, scale), iset.values)
+    r = Z[0].copy()
+    J = Z[1:].T / scale
+    if repair_rank:
+        J = clamp_singular_values(J, p)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise DegenerateSetError("degenerate interpolation set")
     return LinearResidualModel(r=r, J=J, alpha=alpha)
@@ -451,13 +446,16 @@ def poisedness_estimate(iset, center, delta):
 
 
 def _bounds_arrays(bounds, n):
-    if bounds is None:
-        return np.full(n, -np.inf), np.full(n, np.inf)
-    lower = np.asarray(bounds[0], dtype=float)
-    upper = np.asarray(bounds[1], dtype=float)
-    lower = np.full(n, -np.inf) if lower is None else np.broadcast_to(lower, (n,)).astype(float)
-    upper = np.full(n, np.inf) if upper is None else np.broadcast_to(upper, (n,)).astype(float)
-    return lower, upper
+    """(lower, upper) as new float vectors of length n; a None side is unbounded."""
+    lower, upper = (None, None) if bounds is None else bounds
+    return _bound_vector(lower, n, -np.inf), _bound_vector(upper, n, np.inf)
+
+
+def _bound_vector(bound, n, fill):
+    if bound is None:
+        return np.full(n, fill)
+    bound = np.array(bound, dtype=float)
+    return bound if bound.shape == (n,) else np.broadcast_to(bound, (n,)).copy()
 
 
 def geometry_point(basis, t, center, delta, bounds=None, rng=None):

@@ -22,6 +22,7 @@ from .linalg import (
 )
 from .model import (
     InterpolationSet,
+    _bounds_arrays,
     build_initial_set,
     build_linear_model,
     choose_point_to_replace,
@@ -718,7 +719,8 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
     ----------
     residuals : callable mapping a point in R^n to a 1-D residual vector in R^m.
     x0 : finite starting point (clipped into the bounds if needed).
-    bounds : optional (lower, upper) pair of vectors or scalars. Variables
+    bounds : optional (lower, upper) pair of vectors or scalars; a None side
+        is unbounded, and a NaN bound raises a ValueError. Variables
         with lower == upper are fixed: the solver works in the free
         coordinates only, and when every variable is fixed it evaluates x0
         once and returns with exit flag "small_trust_region".
@@ -739,8 +741,9 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    from .model import _bounds_arrays
     lower, upper = _bounds_arrays(bounds, x0.size)
+    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        raise ValueError(f"bounds must not be NaN, got {bounds}")
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound")
     x0 = np.clip(x0, lower, upper)

@@ -1,30 +1,37 @@
 """Bound-constrained trust-region subproblem with a guaranteed Cauchy decrease.
 
 The quadratic model here always has a positive-semidefinite Hessian (it comes
-from a Gauss-Newton construction), so a projected truncated conjugate-gradient
-refinement of the Cauchy point is enough. Every returned step is checked
-against the decrease bound
+from a Gauss-Newton construction), so one truncated conjugate-gradient loop
+from the Cauchy point is enough, for the ball and the box alike: Steihaug CG
+that stops at the ball boundary and, when a step reaches a box face, holds
+that coordinate fixed and restarts on the others (the scheme of Powell's
+TRSBOX). Every returned step is checked against the decrease bound
 
     m(0) - m(s) >= 0.5 ||g|| min(delta, ||g|| / max(||H||, 1)),
 
 and the module keeps counters so a whole benchmark run can be audited for
 violations afterwards.
 
-The exact spectral norm ||H|| enters only two tests, the Cauchy point's
-degenerate-curvature test and the bound above, and each is monotone in it.
-Both are first decided from certified bounds on ||H|| that cost O(n^2); the
-eigendecomposition runs only when a bound cannot decide, and the test is then
-repeated with the exact norm, so steps and audit outcomes are those of the
-exact test.
+The quantities along d = -g/||g||, the feasible length along d and the
+bounds on ||H||, are computed once per step and shared by the Cauchy step,
+the CG and the audit. The exact spectral norm ||H|| enters only two tests,
+the Cauchy step's degenerate-curvature test and the bound above, and each is
+monotone in it. Both are first decided from certified bounds on ||H|| that
+cost O(n^2); the eigendecomposition runs only when a bound cannot decide,
+and the test is then repeated with the exact norm, so steps and audit
+outcomes are those of the exact test.
 """
 
 import math
 
 import numpy as np
 
+from .model import _bounds_arrays
+
 __all__ = ["solve_trust_region", "cauchy_point", "contract_stats", "reset_contract_stats"]
 
 _FEAS_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 # Decrease-contract audit counters (per process).
 _STATS = {"checks": 0, "violations": 0, "exact_norms": 0}
@@ -39,10 +46,10 @@ def reset_contract_stats():
         _STATS[key] = 0
 
 
-def _bounds(lower, upper, n):
-    lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    up = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    return lo, up
+def _face_steps(s, d, lower, upper):
+    """Per coordinate, the t >= 0 at which s + t d meets its box face (+inf if never)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d > 0, (upper - s) / d, np.where(d < 0, (lower - s) / d, np.inf))
 
 
 def _max_feasible_step(s, d, delta, lower, upper, box=True):
@@ -57,34 +64,38 @@ def _max_feasible_step(s, d, delta, lower, upper, box=True):
     t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
     if not box:
         return max(0.0, t_ball)
-    # Box, coordinate-wise; inactive directions contribute +inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_up = np.where(d > 0, (upper - s) / d, np.inf)
-        t_lo = np.where(d < 0, (lower - s) / d, np.inf)
-    t_box = min(np.min(t_up), np.min(t_lo))
-    return max(0.0, min(t_ball, t_box))
+    return max(0.0, min(t_ball, float(np.min(_face_steps(s, d, lower, upper)))))
 
 
-def cauchy_point(model, delta, lower=None, upper=None, hnorm=None):
-    """Exact line search along -g truncated by the ball and the box.
+class _Descent:
+    """The steepest-descent quantities of one step, computed once.
+
+    gnorm = ||g|| > 0 and d = -g/||g||; box tells whether a box face lies
+    strictly inside the ball (otherwise the box cannot bind and the step is
+    the ball-only one); t_max is the feasible length along d and t_reach the
+    length the decrease bound uses (delta itself without a binding box);
+    hnorm is the _HessianNorm of H along d.
+    """
+
+    def __init__(self, model, delta, lo, up, gnorm):
+        n = lo.size
+        self.gnorm = gnorm
+        self.d = -model.g / gnorm
+        self.box = bool(np.any(lo > -delta) or np.any(up < delta))
+        self.t_max = _max_feasible_step(np.zeros(n), self.d, delta, lo, up, box=self.box)
+        self.t_reach = self.t_max if self.box else delta
+        self.hnorm = _HessianNorm(model.H, self.d)
+
+
+def _cauchy_step(descent):
+    """Exact line search along d, truncated at t_max.
 
     The computed directional curvature d.H.d can round to zero or negative
     when H mixes huge magnitudes (ill-conditioned interpolation sets); in
     that regime the spectral norm of H, which is computed stably, bounds the
-    curvature instead so the step can never increase the model. hnorm is the
-    _HessianNorm of model.H along d = -g/||g|| (built here when omitted).
+    curvature instead so the step can never increase the model.
     """
-    g = model.g
-    n = g.size
-    lo, up = _bounds(lower, upper, n)
-    gnorm = np.sqrt(float(g @ g))
-    if gnorm == 0.0:
-        return np.zeros(n)
-    d = -g / gnorm
-    if hnorm is None:
-        hnorm = _HessianNorm(model.H, d)
-    box = not (np.all(np.isinf(lo)) and np.all(np.isinf(up)))
-    t_max = _max_feasible_step(np.zeros(n), d, delta, lo, up, box=box)
+    gnorm, hnorm = descent.gnorm, descent.hnorm
     curv = hnorm.curv
     # curv > 1e-8 * upper implies curv > 1e-8 ||H||; only the other case
     # needs the exact norm, to decide the test or to bound the curvature.
@@ -96,8 +107,17 @@ def cauchy_point(model, delta, lower=None, upper=None, hnorm=None):
         t_opt = gnorm / hnorm.exact()  # conservative curvature bound
     else:
         t_opt = np.inf
-    t = min(t_opt, t_max)
-    return t * d
+    return min(t_opt, descent.t_max) * descent.d
+
+
+def cauchy_point(model, delta, lower=None, upper=None):
+    """Exact line search along -g truncated by the ball and the box."""
+    g = model.g
+    lo, up = _bounds_arrays((lower, upper), g.size)
+    gnorm = np.sqrt(float(g @ g))
+    if gnorm == 0.0:
+        return np.zeros(g.size)
+    return _cauchy_step(_Descent(model, delta, lo, up, gnorm))
 
 
 def _spectral_norm(H):
@@ -137,113 +157,81 @@ class _HessianNorm:
         return self._exact
 
 
-def _cg_ball_only(model, s0, delta, max_iter):
-    """Steihaug truncated CG inside the ball (no box constraints)."""
-    H = model.H
-    g = model.g
-    s = s0.copy()
-    r = -(g + H @ s)
-    gg = float(g @ g)
-    rr = float(r @ r)
-    if rr <= 1e-28 * max(1.0, gg):
-        return s
-    d = r.copy()
-    ss = float(s @ s)
-    for _ in range(max_iter):
-        Hd = H @ d
-        dHd = float(d @ Hd)
-        sd = float(s @ d)
-        dd = float(d @ d)
-        disc = sd * sd + dd * (delta * delta - ss)
-        t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
-        if dHd <= 1e-15 * dd:
-            return s + t_ball * d
-        t = rr / dHd
-        if t >= t_ball:
-            return s + t_ball * d
-        s += t * d
-        ss += t * (2.0 * sd + t * dd)
-        r -= t * Hd
-        rr_new = float(r @ r)
-        if rr_new <= 1e-28 * max(1.0, gg):
-            break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return s
+def _truncated_cg(model, s0, delta, max_iter, bounds=None):
+    """Steihaug truncated CG from s0 inside the ball, restarted at box faces.
 
-
-def _projected_cg(model, s0, delta, lower, upper, max_iter):
-    """Truncated CG from s0 on the free coordinates, restarting at box hits.
-
-    Monotone in the model value; stops at the ball boundary (Steihaug rule)
-    or after max_iter total CG iterations.
+    With bounds = (lower, upper), coordinates at a face whose gradient points
+    out of the box are held fixed, and a step that reaches a face stops on
+    it, fixes that coordinate and restarts CG on the others. Stops at the
+    ball boundary, on a residual below 1e-14 max(1, ||g||), or after
+    max_iter iterations in all. Without bounds the arithmetic is plain
+    Steihaug CG with ||s||^2 updated incrementally.
     """
     H = model.H
     g = model.g
-    n = g.size
     s = s0.copy()
-    tol_lo = np.where(np.isfinite(lower), _FEAS_TOL * np.maximum(1.0, np.abs(lower)), 0.0)
-    tol_up = np.where(np.isfinite(upper), _FEAS_TOL * np.maximum(1.0, np.abs(upper)), 0.0)
+    gg = float(g @ g)
+    if bounds is not None:
+        lower, upper = bounds
+        tol_lo = np.where(np.isfinite(lower), _FEAS_TOL * np.maximum(1.0, np.abs(lower)), 0.0)
+        tol_up = np.where(np.isfinite(upper), _FEAS_TOL * np.maximum(1.0, np.abs(upper)), 0.0)
     iters = 0
-    for _ in range(n + 1):
-        grad = g + H @ s
-        at_lo = s <= lower + tol_lo
-        at_up = s >= upper - tol_up
-        fixed = (at_lo & (grad >= 0)) | (at_up & (grad <= 0))
-        free = ~fixed
-        if not np.any(free) or iters >= max_iter:
-            break
-        r = -grad.copy()
-        r[fixed] = 0.0
-        if np.linalg.norm(r) <= 1e-14 * max(1.0, np.linalg.norm(g)):
-            break
-        d = r.copy()
+    while True:
+        r = -(g + H @ s)
+        if bounds is not None:
+            fixed = ((s <= lower + tol_lo) & (r <= 0)) | ((s >= upper - tol_up) & (r >= 0))
+            r[fixed] = 0.0
         rr = float(r @ r)
-        hit_box = False
+        if rr <= 1e-28 * max(1.0, gg):
+            return s
+        d = r.copy()
+        ss = float(s @ s)
         while iters < max_iter:
             iters += 1
             Hd = H @ d
             dHd = float(d @ Hd)
-            t_max = _max_feasible_step(s, d, delta, lower, upper)
-            if dHd <= 1e-15 * float(d @ d):
-                t = t_max
-            else:
-                t = min(rr / dHd, t_max)
-            if t <= 0.0:
-                break
-            s = s + t * d
-            if t >= t_max - 1e-15 * max(1.0, t_max):
-                # Hit the ball or a box face; if a box face, fix and restart.
-                if np.linalg.norm(s) >= delta * (1.0 - 1e-12):
-                    return s
-                hit_box = True
-                break
-            r = r - t * Hd
-            r[fixed] = 0.0
+            sd = float(s @ d)
+            dd = float(d @ d)
+            disc = sd * sd + dd * (delta * delta - ss)
+            t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
+            on_ball = dHd <= 1e-15 * dd or rr / dHd >= t_ball
+            t = t_ball if on_ball else rr / dHd
+            if bounds is not None:
+                t_face = _face_steps(s, d, lower, upper)
+                k = int(np.argmin(t_face))
+                if t_face[k] < t:
+                    s += t_face[k] * d
+                    s[k] = lower[k] if d[k] < 0 else upper[k]
+                    break
+            if on_ball:
+                return s + t_ball * d
+            s += t * d
+            ss += t * (2.0 * sd + t * dd)
+            r -= t * Hd
+            if bounds is not None:
+                r[fixed] = 0.0
             rr_new = float(r @ r)
-            if rr_new <= 1e-28 * max(1.0, float(g @ g)):
-                break
+            if rr_new <= 1e-28 * max(1.0, gg):
+                return s
             d = r + (rr_new / rr) * d
-            d[fixed] = 0.0
             rr = rr_new
-        if not hit_box:
-            break
-    return s
+        else:
+            return s
 
 
 def solve_trust_region(model, delta, lower=None, upper=None):
     """Approximate minimizer of the model over the ball intersected with the box.
 
-    The step starts from the Cauchy point and is refined by projected
-    truncated CG (at most 2n iterations), so the Cauchy decrease bound holds;
-    it is verified on every call and an AssertionError is raised on violation.
-    Returns the zero step when the model gradient vanishes.
+    The step starts from the Cauchy point and is refined by truncated CG (at
+    most 2n iterations), so the Cauchy decrease bound holds; it is verified
+    on every call and an AssertionError is raised on violation. Returns the
+    zero step when the model gradient vanishes.
     """
     if delta <= 0.0:
         raise ValueError("need delta > 0")
     g = model.g
     n = g.size
-    lo, up = _bounds(lower, upper, n)
+    lo, up = _bounds_arrays((lower, upper), n)
     if np.any(lo > _FEAS_TOL) or np.any(up < -_FEAS_TOL):
         raise ValueError("bounds must contain the origin (shift to the current iterate)")
     lo = np.minimum(lo, 0.0)
@@ -252,20 +240,9 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     if gnorm == 0.0:
         return np.zeros(n)
 
-    d = -g / gnorm
-    hnorm = _HessianNorm(model.H, d)
-    unconstrained = bool(np.all(np.isinf(lo)) and np.all(np.isinf(up)))
-    # With bounds, the reachable length along -g caps the decrease any step
-    # can achieve; without bounds this is exactly the ball radius.
-    if unconstrained:
-        t_reach = delta
-    else:
-        t_reach = _max_feasible_step(np.zeros(n), d, delta, lo, up)
-    s_c = _finalize(cauchy_point(model, delta, lo, up, hnorm=hnorm), lo, up, delta)
-    if unconstrained:
-        s = _cg_ball_only(model, s_c, delta, max_iter=2 * n)
-    else:
-        s = _projected_cg(model, s_c, delta, lo, up, max_iter=2 * n)
+    descent = _Descent(model, delta, lo, up, gnorm)
+    s_c = _finalize(_cauchy_step(descent), lo, up, delta)
+    s = _truncated_cg(model, s_c, delta, 2 * n, (lo, up) if descent.box else None)
     s = _finalize(s, lo, up, delta)
 
     # Keep the CG refinement only when its decrease verifiably beats the
@@ -275,7 +252,7 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     # cleanly (its products stay at the scale of the bound).
     cg = _decrease(model, s, gnorm)
     cauchy = _decrease(model, s_c, gnorm)
-    bound, keep_cg, passes = _certified_audit(gnorm, t_reach, hnorm, cg, cauchy)
+    bound, keep_cg, passes = _certified_audit(gnorm, descent.t_reach, descent.hnorm, cg, cauchy)
 
     _STATS["checks"] += 1
     if not passes:
@@ -295,9 +272,6 @@ def _finalize(s, lo, up, delta):
     if snorm > delta:
         s = s * (delta / snorm)
     return s
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _cauchy_bound(gnorm, t_reach, hnorm):

@@ -4,7 +4,8 @@ Run with -rA (or -s) to see the lines for passing criteria.
 
 The benchmark-level criteria share whole-suite fixtures (36 dense problems,
 10 seeds, several solver configurations), so this module takes tens of
-minutes on one core. Run with `pytest tests/test_acceptance.py -v`.
+minutes on one core. Run with `pytest tests/test_acceptance.py -v`; every
+test here is marked slow, so `pytest -m "not slow"` runs the unit tests alone.
 """
 
 import time
@@ -29,6 +30,8 @@ from dfls.model import InterpolationSet, build_linear_model, full_model
 from dfls.params import RestartConfig, SolverParams
 from dfls.problems import DENSE_SET, SCALABLE_SET, NoiseModel, get_problem
 from dfls.trustregion import contract_stats, reset_contract_stats
+
+pytestmark = pytest.mark.slow
 
 NOISE = NoiseModel("mult_gaussian", 1e-2)
 SEEDS = list(range(10))

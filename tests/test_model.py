@@ -615,3 +615,14 @@ class TestSquareInverseCache:
         iset.put(4, random_unit(rng, 3), rng.standard_normal(2))
         fit_model_and_basis(iset)  # tall: regression, no cache read
         assert iset.refactorizations["first"] == 1
+
+    def test_square_build_linear_model_reads_the_cached_inverse(self):
+        rng = np.random.default_rng(24)
+        iset = square_set(3, rng)
+        lm = build_linear_model(iset)
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 0, "probe": 0}
+        reference, _ = scratch_fit(iset)
+        np.testing.assert_allclose(lm.r, reference[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(lm.J, reference[1], rtol=1e-12, atol=1e-12)
+        cached_fit(iset)
+        assert iset.refactorizations["first"] == 1

@@ -415,6 +415,20 @@ class TestSolveBoundary:
                 solve(counted, np.array([-1.2, 1.0]), seed=0)
             assert len(calls) == 1
 
+    def test_none_lower_bound_leaves_the_variables_unbounded_below(self):
+        result = solve(rosen, np.array([-1.2, 1.0]), bounds=(None, [2.0, 2.0]), seed=0)
+        assert result.f < 1e-10 and np.all(result.x <= 2.0)
+
+    def test_none_upper_bound_leaves_the_variables_unbounded_above(self):
+        # x0 is clipped onto x[0] = 0.5; the minimizer [1, 1] stays feasible.
+        result = solve(rosen, np.array([-1.2, 1.0]), bounds=([0.5, -2.0], None), seed=0)
+        assert result.f < 1e-10 and np.all(result.x >= [0.5, -2.0])
+
+    def test_nan_bound_raises(self):
+        for bounds in (([np.nan, -2.0], [2.0, 2.0]), (-2.0, [2.0, np.nan]), (np.nan, None)):
+            with pytest.raises(ValueError, match="bounds"):
+                solve(rosen, np.array([-1.2, 1.0]), bounds=bounds)
+
 
 class TestNarrowBoxes:
     @staticmethod

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfls import trustregion as tr
-from dfls.model import FullModel
+from dfls.model import FullModel, _bounds_arrays
 from dfls.trustregion import cauchy_point, contract_stats, solve_trust_region
 
 
@@ -137,15 +137,16 @@ def exact_norm_step(model, delta, lower=None, upper=None):
     """
     g, H = model.g, model.H
     n = g.size
-    lo, up = tr._bounds(lower, upper, n)
+    lo, up = _bounds_arrays((lower, upper), n)
     lo, up = np.minimum(lo, 0.0), np.maximum(up, 0.0)
     gnorm = np.sqrt(float(g @ g))
     if gnorm == 0.0:
         return np.zeros(n), True
     hnorm = tr._spectral_norm(H)
-    unconstrained = bool(np.all(np.isinf(lo)) and np.all(np.isinf(up)))
+    box = bool(np.any(lo > -delta) or np.any(up < delta))
     d = -g / gnorm
-    t_reach = delta if unconstrained else tr._max_feasible_step(np.zeros(n), d, delta, lo, up)
+    t_max = tr._max_feasible_step(np.zeros(n), d, delta, lo, up, box=box)
+    t_reach = t_max if box else delta
     bound = 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
     curv = float(d @ H @ d)
     if curv > 1e-8 * hnorm and curv > 0.0:
@@ -154,12 +155,8 @@ def exact_norm_step(model, delta, lower=None, upper=None):
         t_opt = gnorm / hnorm
     else:
         t_opt = np.inf
-    t_max = tr._max_feasible_step(np.zeros(n), d, delta, lo, up, box=not unconstrained)
     s_c = tr._finalize(min(t_opt, t_max) * d, lo, up, delta)
-    if unconstrained:
-        s = tr._cg_ball_only(model, s_c, delta, max_iter=2 * n)
-    else:
-        s = tr._projected_cg(model, s_c, delta, lo, up, max_iter=2 * n)
+    s = tr._truncated_cg(model, s_c, delta, 2 * n, (lo, up) if box else None)
     s = tr._finalize(s, lo, up, delta)
 
     def decrease_and_tol(step):
@@ -251,3 +248,75 @@ class TestCertifiedNorm:
                 s = solve_trust_region(model, delta)
                 assert s.tobytes() == exact_norm_step(model, delta)[0].tobytes()
         assert contract_stats()["exact_norms"] == before
+
+
+def cg_ball_only(model, s0, delta, max_iter):
+    """Plain Steihaug truncated CG inside the ball: the bitwise reference for
+    _truncated_cg without bounds."""
+    H = model.H
+    g = model.g
+    s = s0.copy()
+    r = -(g + H @ s)
+    gg = float(g @ g)
+    rr = float(r @ r)
+    if rr <= 1e-28 * max(1.0, gg):
+        return s
+    d = r.copy()
+    ss = float(s @ s)
+    for _ in range(max_iter):
+        Hd = H @ d
+        dHd = float(d @ Hd)
+        sd = float(s @ d)
+        dd = float(d @ d)
+        disc = sd * sd + dd * (delta * delta - ss)
+        t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
+        if dHd <= 1e-15 * dd:
+            return s + t_ball * d
+        t = rr / dHd
+        if t >= t_ball:
+            return s + t_ball * d
+        s += t * d
+        ss += t * (2.0 * sd + t * dd)
+        r -= t * Hd
+        rr_new = float(r @ r)
+        if rr_new <= 1e-28 * max(1.0, gg):
+            break
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return s
+
+
+class TestTruncatedCG:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
+           deficiency=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           log_delta=st.floats(-4.0, 2.0), start=st.sampled_from(["cauchy", "origin", "inside"]),
+           max_iter=st.integers(0, 30))
+    def test_unbounded_is_the_ball_only_loop_bitwise(self, n, extra_rows, seed, deficiency,
+                                                     scale, log_delta, start, max_iter):
+        rng = np.random.default_rng(seed)
+        m = max(1, n + extra_rows)
+        model = gauss_newton_model(rng, n, m, scale, max(1, min(m, n) - deficiency))
+        delta = 10.0 ** log_delta
+        if start == "cauchy":
+            s0 = cauchy_point(model, delta)
+        elif start == "origin":
+            s0 = np.zeros(n)
+        else:
+            s0 = rng.uniform(0.0, 1.0) * delta * rng.standard_normal(n) / np.sqrt(n)
+        got = tr._truncated_cg(model, s0, delta, max_iter)
+        assert got.tobytes() == cg_ball_only(model, s0, delta, max_iter).tobytes()
+
+    def test_a_face_reached_mid_cg_is_fixed_and_cg_restarts(self):
+        # The unconstrained minimizer [2, 0.1] lies past the face x[0] = 1.
+        # The Cauchy point is interior, the first CG step from it reaches the
+        # face, and CG restarts on x[1] alone, whose constrained minimizer
+        # solves H[1, 1] x[1] = -(g[1] + H[1, 0]).
+        H = np.array([[2.0, 1.0], [1.0, 10.0]])
+        g = -H @ np.array([2.0, 0.1])
+        model = quad(g, H)
+        lower, upper = np.full(2, -np.inf), np.array([1.0, np.inf])
+        assert cauchy_point(model, 10.0, lower, upper)[0] < 1.0
+        s = solve_trust_region(model, 10.0, lower, upper)
+        assert s[0] == 1.0
+        np.testing.assert_allclose(s[1], -(g[1] + H[1, 0]) / H[1, 1], rtol=1e-14)
