@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import SolverParams
-from .problems import NoiseModel, NoisyProblem, expected_noisy_objective, get_problem
+from .problems import NoiseModel, NoisyProblem, expected_noisy_objective, get_problem, noise_std_at
 from .solver import solve
 
 __all__ = [
@@ -113,10 +113,10 @@ def measure_noisy(record, tau_value, noise=None):
     return float(record.eval_indices[hit[0]])
 
 
-def tau_crit(problem, noise, n_samples=100_000, seed=0):
+def tau_crit(problem, noise):
     """Noise-limited accuracy floor of a problem, rounded up to a power of ten.
 
-    Estimated as sigma(x*) / E[f~(x0) - f~(x*)] with sigma(x*) the Monte-Carlo
+    Computed as sigma(x*) / E[f~(x0) - f~(x*)] with sigma(x*) the exact
     standard deviation of the noisy objective at the recorded minimizer.
     Noiseless problems have no floor (returns 0).
     """
@@ -124,9 +124,7 @@ def tau_crit(problem, noise, n_samples=100_000, seed=0):
         return 0.0
     if problem.x_star is None:
         raise ValueError(f"problem {problem.name!r} has no recorded minimizer")
-    from .problems import noise_std_at
-
-    sigma_star = noise_std_at(problem, noise, problem.x_star, n_samples=n_samples, seed=seed)
+    sigma_star = noise_std_at(problem, noise, problem.x_star)
     ef0 = expected_noisy_objective(problem, noise, x=problem.x0)
     ef_star = expected_noisy_objective(problem, noise, f=problem.f_star)
     denom = ef0 - ef_star

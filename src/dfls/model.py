@@ -344,34 +344,13 @@ def set_radius(iset):
 
 
 def build_linear_model(iset, repair_rank=True):
-    """Fit the linear residual model to the current set.
+    """Fit the linear residual model to the current set: fit_model_and_basis's model.
 
-    With p >= n points beyond the base this is fit_model_and_basis's model
-    (the cached square inverse, or the least-squares fit of the tall
-    system); with p < n it is the exact interpolant minimizing
-    ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank p and is then made
-    full-rank by raising its trailing singular values (unless repair_rank is
-    false, for the perturbed-step growing variant).
+    Raises ValueError when a point of the set has not been evaluated.
     """
     if iset.values is None or np.any(np.isnan(iset.values)):
         raise ValueError("interpolation set has unevaluated points")
-    p = iset.npt - 1
-    if p >= iset.n:
-        return fit_model_and_basis(iset)[0]
-    alpha = set_radius(iset)
-    if alpha <= 0.0:
-        raise DegenerateSetError("degenerate interpolation set")
-    # Column scaling by sqrt(alpha) makes the minimal-norm objective
-    # exactly ||r||^2 + alpha ||J||_F^2.
-    scale = np.sqrt(alpha)
-    Z = solve_min_norm(_interp_matrix(iset, scale), iset.values)
-    r = Z[0].copy()
-    J = Z[1:].T / scale
-    if repair_rank:
-        J = clamp_singular_values(J, p)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
-        raise DegenerateSetError("degenerate interpolation set")
-    return LinearResidualModel(r=r, J=J, alpha=alpha)
+    return fit_model_and_basis(iset, repair_rank)[0]
 
 
 def full_model(lm):
@@ -382,29 +361,29 @@ def full_model(lm):
 
 
 def _solve_interpolation(iset, rhs):
-    """(W^+ rhs, W^+, alpha) for the set's scaled system; needs p >= n.
+    """(W^+ rhs, Lagrange basis, alpha) for the set's scaled system; needs p >= n.
 
     With p == n, W^+ is the set's cached square inverse; with p > n it comes
-    from one least-squares solve against [rhs, I].
+    from one least-squares solve against [rhs, I]. The basis polynomials are
+    the columns of W^+, centred at the base point.
     """
     p = iset.npt - 1
     if p < iset.n:
         raise DegenerateSetError("degenerate interpolation set")
     if p == iset.n:
         Z, alpha = iset.square_inverse()
-        return Z @ rhs, Z, alpha
-    alpha = set_radius(iset)
-    if alpha <= 0.0:
-        raise DegenerateSetError("degenerate interpolation set")
-    k = rhs.shape[1]
-    Z = solve_regression(_interp_matrix(iset, alpha), np.hstack([rhs, np.eye(iset.npt)]))
-    return Z[:, :k], Z[:, k:], alpha
-
-
-def _basis(Z, alpha, iset):
+        Zm = Z @ rhs
+    else:
+        alpha = set_radius(iset)
+        if alpha <= 0.0:
+            raise DegenerateSetError("degenerate interpolation set")
+        k = rhs.shape[1]
+        Z = solve_regression(_interp_matrix(iset, alpha), np.hstack([rhs, np.eye(iset.npt)]))
+        Zm, Z = Z[:, :k], Z[:, k:]
     if not np.all(np.isfinite(Z)):
         raise DegenerateSetError("degenerate interpolation set")
-    return LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
+    basis = LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
+    return Zm, basis, alpha
 
 
 def lagrange_basis(iset):
@@ -412,23 +391,40 @@ def lagrange_basis(iset):
 
     Requires p >= n points beyond the base and a full-column-rank system.
     """
-    _, Z, alpha = _solve_interpolation(iset, np.empty((iset.npt, 0)))
-    return _basis(Z, alpha, iset)
+    return _solve_interpolation(iset, np.empty((iset.npt, 0)))[1]
 
 
-def fit_model_and_basis(iset):
-    """Linear model and Lagrange basis from one factorization.
+def fit_model_and_basis(iset, repair_rank=True):
+    """Linear residual model and Lagrange basis of the set from one factorization.
 
-    Only valid in the regression regime (p >= n); the solver hot path uses
-    this to avoid factorizing the interpolation matrix twice per iteration.
+    With p >= n points beyond the base the model is the regression fit (the
+    cached square inverse when p == n, a least-squares solve when p > n) and
+    the basis comes from the same factorization. With p < n the basis is
+    None and the model is the exact interpolant minimizing
+    ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank p and is then made
+    full-rank by raising its trailing singular values (unless repair_rank is
+    false, for the perturbed-step growing variant).
     """
-    Zm, Zb, alpha = _solve_interpolation(iset, iset.values)
+    p = iset.npt - 1
+    if p < iset.n:
+        alpha = set_radius(iset)
+        if alpha <= 0.0:
+            raise DegenerateSetError("degenerate interpolation set")
+        # Column scaling by sqrt(alpha) makes the minimal-norm objective
+        # exactly ||r||^2 + alpha ||J||_F^2.
+        scale = np.sqrt(alpha)
+        Zm = solve_min_norm(_interp_matrix(iset, scale), iset.values)
+        basis = None
+        J = Zm[1:].T / scale
+        if repair_rank:
+            J = clamp_singular_values(J, p)
+    else:
+        Zm, basis, alpha = _solve_interpolation(iset, iset.values)
+        J = Zm[1:].T / alpha
     r = Zm[0].copy()
-    J = Zm[1:].T / alpha
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise DegenerateSetError("degenerate interpolation set")
-    lm = LinearResidualModel(r=r, J=J, alpha=alpha)
-    return lm, _basis(Zb, alpha, iset)
+    return LinearResidualModel(r=r, J=J, alpha=alpha), basis
 
 
 def poisedness_estimate(iset, center, delta):

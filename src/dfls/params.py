@@ -81,7 +81,7 @@ class SolverParams:
     noise_level: Optional[NoiseLevelConfig] = None
     nsamples: Union[str, Callable] = "one"
     multi_move: str = "nothing"
-    multi_move_count: Optional[int] = None
+    multi_move_count: Optional[int] = None  # None -> min(3, p)
     growing: str = "svd"
     growing_perturb_mult: float = 1.0
     scale_variables: bool = False
@@ -138,6 +138,8 @@ def resolve_params(params, n, x0_norm_inf, box_width=math.inf):
         p.restarts.enabled = noisy
     if p.restarts.n_move is None:
         p.restarts.n_move = min(3, p.p)
+    if p.multi_move_count is None:
+        p.multi_move_count = min(3, p.p)
     p.slow = replace(p.slow)
 
     if not 0.0 < p.gamma_dec < 1.0 < p.gamma_inc <= p.gamma_inc_bar:

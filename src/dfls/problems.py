@@ -135,22 +135,23 @@ def expected_noisy_objective(problem, noise, x=None, f=None):
     return float(f + problem.m * noise.sigma**2)
 
 
-def noise_std_at(problem, noise, x, n_samples=100_000, seed=0):
-    """Monte-Carlo standard deviation of the noisy objective at a fixed point.
+def noise_std_at(problem, noise, x):
+    """Closed-form standard deviation of the noisy objective f~(x).
 
-    Deterministic for a given seed. The base residual is evaluated once and
-    the noise model applied to vectorized draws.
+    With eps_i ~ N(0, sigma^2) independent and r = r(x): multiplicative noise
+    gives sqrt((4 sigma^2 + 2 sigma^4) sum r_i^4), additive Gaussian noise
+    sqrt(4 sigma^2 f + 2 m sigma^4) with f = ||r||^2, and additive chi^2
+    noise sigma^2 sqrt(2 m).
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    r = problem.residual(np.asarray(x, dtype=float))
     if noise.deterministic:
         return 0.0
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), zlib.crc32(problem.name.encode()), 0xA5)))
-    eps = rng.normal(0.0, noise.sigma, size=(int(n_samples), r.size))
-    rt = _apply_noise(r[None, :], noise, eps)
-    f_samples = np.einsum("ij,ij->i", rt, rt)
-    return float(np.std(f_samples, ddof=1))
+    r = problem.residual(np.asarray(x, dtype=float))
+    s2 = noise.sigma**2
+    if noise.kind == "mult_gaussian":
+        return float(np.sqrt((4.0 * s2 + 2.0 * s2 * s2) * np.sum(r**4)))
+    if noise.kind == "add_gaussian":
+        return float(np.sqrt(4.0 * s2 * (r @ r) + 2.0 * r.size * s2 * s2))
+    return float(s2 * np.sqrt(2.0 * r.size))
 
 
 # ---------------------------------------------------------------------------

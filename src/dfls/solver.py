@@ -21,10 +21,8 @@ from .linalg import (
     random_unit,
 )
 from .model import (
-    InterpolationSet,
     _bounds_arrays,
     build_initial_set,
-    build_linear_model,
     choose_point_to_replace,
     fit_model_and_basis,
     full_model,
@@ -139,17 +137,9 @@ def check_noise_level_termination(iset, cfg):
     fvals = iset.objective_values()
     fk = iset.base_objective()
     thresholds = cfg.scale * cfg.level / np.sqrt(iset.sample_counts)
-    multiplicative = cfg.multiplicative and fk != 0.0
-    for t in range(iset.npt):
-        if t == iset.base_index:
-            continue
-        if multiplicative:
-            if abs(fvals[t] / fk) > thresholds[t]:
-                return False
-        else:
-            if abs(fvals[t] - fk) > thresholds[t]:
-                return False
-    return True
+    dev = np.abs(fvals / fk if cfg.multiplicative and fk != 0.0 else fvals - fk)
+    dev[iset.base_index] = -np.inf
+    return not np.any(dev > thresholds)
 
 
 def auto_detect_restart(radius_events, jac_history, cfg):
@@ -230,6 +220,19 @@ def _residual_array(value):
     return r
 
 
+def _eval_once(fun, *args):
+    """fun(*args) as a residual vector, or None when it raised or is not finite."""
+    try:
+        value = fun(*args)
+    except Exception:
+        logger.debug("objective evaluation raised; treating value as +inf")
+        return None
+    r = _residual_array(value)
+    if not np.all(np.isfinite(r)):
+        return None
+    return r
+
+
 class _Loop:
     """State and phases of one solver run (single-threaded, owns all state)."""
 
@@ -266,17 +269,6 @@ class _Loop:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _eval_once(self, x):
-        try:
-            value = self.fun(x)
-        except Exception:
-            logger.debug("objective evaluation raised; treating value as +inf")
-            return None
-        r = _residual_array(value)
-        if not np.all(np.isfinite(r)):
-            return None
-        return r
-
     def evaluate_averaged(self, x):
         """Mean of N residual samples at x; every sample counts against the budget.
 
@@ -293,20 +285,13 @@ class _Loop:
         batch = getattr(self.fun, "sample_mean", None) if n_use > 1 else None
         if batch is not None:
             self.n_evals += n_use
-            try:
-                rbar = batch(x, n_use)
-            except Exception:
-                rbar = None
-            if rbar is not None:
-                rbar = _residual_array(rbar)
-                if not np.all(np.isfinite(rbar)):
-                    rbar = None
+            rbar = _eval_once(batch, x, n_use)
         else:
             acc = None
             failed = False
             for _ in range(n_use):
                 self.n_evals += 1
-                r = self._eval_once(x)
+                r = _eval_once(self.fun, x)
                 if r is None:
                     failed = True
                 elif acc is None:
@@ -374,41 +359,48 @@ class _Loop:
             raise RuntimeError("objective evaluation failed at the starting point")
         self.iset.set_value(0, rbar, nsamp)
         self.f0_observed = fbar
-        for t in range(1, self.iset.npt):
-            self._fill_initial_value(self.iset, t)
-        self.iset.rebase()
+        self._fill_initial_values(self.iset)
 
-    def _fill_initial_value(self, iset, t):
-        """Evaluate initial point t, retrying flipped and shrunk steps on failure.
+    def _fill_initial_values(self, iset):
+        """Evaluate points 1.. of a fresh set around its valued point 0, then rebase.
 
-        Wide initial radii can push points into regions where the residuals
-        overflow; the replacement steps keep the set affinely independent.
+        A failed point is retried at flipped and shrunk steps: wide initial
+        radii can push points into regions where the residuals overflow, and
+        the replacement steps keep the set affinely independent.
         """
         x0 = iset.points[0]
-        step = iset.points[t] - x0
-        candidates = [iset.points[t]]
-        for frac in (-1.0, 0.5, -0.5, 0.25, -0.25, 0.05, -0.05):
-            candidates.append(self._clip(x0 + frac * step))
-        for y in candidates:
-            if iset.has_point(y, skip=t):
-                continue
-            rbar, fbar, nsamp = self.evaluate_averaged(y)
-            if rbar is not None:
-                iset.put(t, y, rbar, nsamp)
-                return
-        raise RuntimeError("objective evaluation failed while building the initial set")
+        for t in range(1, iset.npt):
+            step = iset.points[t] - x0
+            candidates = [iset.points[t]]
+            for frac in (-1.0, 0.5, -0.5, 0.25, -0.25, 0.05, -0.05):
+                candidates.append(self._clip(x0 + frac * step))
+            for y in candidates:
+                if iset.has_point(y, skip=t):
+                    continue
+                rbar, fbar, nsamp = self.evaluate_averaged(y)
+                if rbar is not None:
+                    iset.put(t, y, rbar, nsamp)
+                    break
+            else:
+                raise RuntimeError("objective evaluation failed while building the initial set")
+        iset.rebase()
 
-    def _improve_geometry(self, radius):
-        """Move the point furthest from the base to a geometry-improving spot."""
+    def _geometry_point(self, t, center, radius):
+        """Maximizer of |L_t| over the ball B(center, radius) within the box.
+
+        On a degenerate set, which has no Lagrange basis, this is a random
+        step of length radius from center, clipped to the box.
+        """
         try:
             basis = lagrange_basis(self.iset)
         except DegenerateSetError:
-            self._repair_degenerate()
-            return
+            return self._clip(center + radius * random_unit(self.rng, self.n))
+        return geometry_point(basis, t, center, radius, (self.lower, self.upper), self.rng)
+
+    def _improve_geometry(self):
+        """Move the point furthest from the base to a geometry-improving spot."""
         t = self.iset.furthest_index()
-        y = geometry_point(basis, t, self.iset.base_point(), radius,
-                           (self.lower, self.upper), self.rng)
-        self._move_point(t, y)
+        self._move_point(t, self._geometry_point(t, self.iset.base_point(), self.delta))
 
     def _move_point(self, t, y):
         """Evaluate y and put it at slot t (t == npt appends), then rebase.
@@ -445,19 +437,12 @@ class _Loop:
     def _multi_move(self, step):
         """Move the furthest points after a successful regression-mode step."""
         mech = self.p.multi_move
-        count = self.p.multi_move_count
-        if count is None:
-            count = min(3, self.p.p)
-        count = min(count, self.iset.npt - 1)
+        count = min(self.p.multi_move_count, self.iset.npt - 1)
         xk = self.iset.base_point()
         for _ in range(count):
             t = self.iset.furthest_index()
             if mech == "geometry":
-                try:
-                    basis = lagrange_basis(self.iset)
-                except DegenerateSetError:
-                    return
-                y = geometry_point(basis, t, xk, self.delta, (self.lower, self.upper), self.rng)
+                y = self._geometry_point(t, xk, self.delta)
             else:  # momentum
                 y = self._momentum_point(xk, step)
                 if y is None:
@@ -512,58 +497,41 @@ class _Loop:
 
     def _hard_restart(self):
         """Rebuild the whole set around the current base, like the initial set."""
-        xk = self.iset.base_point().copy()
-        fresh = build_initial_set(xk, self.p.delta0, self.p.p,
+        old = self.iset
+        fresh = build_initial_set(old.base_point(), self.p.delta0, self.p.p,
                                   (self.lower, self.upper), self.rng)
-        base_value = self.iset.base_value().copy()
-        base_count = int(self.iset.sample_counts[self.iset.base_index])
-        new = InterpolationSet(fresh.points, base_index=0)
-        new.set_value(0, base_value, base_count)
-        for t in range(1, new.npt):
-            self._fill_initial_value(new, t)
-        new.rebase()
-        self.iset = new
+        fresh.set_value(0, old.base_value(), old.sample_counts[old.base_index])
+        self._fill_initial_values(fresh)
+        self.iset = fresh
 
     def _soft_restart(self, move_base):
         """Move the points nearest the base to geometry spots in the inflated ball."""
-        n_move = min(self.p.restarts.n_move, self.iset.npt - 1)
-        old_base = self.iset.base_index
-        old_xk = self.iset.base_point().copy()
-        moved = []
-        if move_base:
-            y0 = self._restart_geometry_point(old_base, old_xk)
-            rbar, fbar, nsamp = self.evaluate_averaged(y0)
-            if rbar is not None:
-                self.iset.put(old_base, y0, rbar, nsamp)
-                moved.append(old_base)
-            n_move -= 1
-            center = self.iset.points[old_base]
-        else:
-            center = old_xk
-        dist = np.linalg.norm(self.iset.points - old_xk, axis=1)
+        iset = self.iset
+        old_base = iset.base_index
+        dist = np.linalg.norm(iset.points - iset.base_point(), axis=1)
         dist[old_base] = np.inf
-        order = np.argsort(dist, kind="stable")
-        for t in order[:max(n_move, 0)]:
-            y = self._restart_geometry_point(int(t), center)
+        n_move = min(self.p.restarts.n_move, iset.npt - 1)
+        targets = np.argsort(dist, kind="stable")[:max(n_move - move_base, 0)].tolist()
+        if move_base:
+            targets.insert(0, old_base)
+        moved = []
+        for t in targets:
+            # The center is the base slot: moved first when move_base is set.
+            y = self._restart_geometry_point(t, iset.points[old_base])
             rbar, fbar, nsamp = self.evaluate_averaged(y)
             if rbar is not None:
-                self.iset.put(int(t), y, rbar, nsamp)
-                moved.append(int(t))
+                iset.put(t, y, rbar, nsamp)
+                moved.append(t)
         if move_base and moved:
             # Continue from the best of the moved points, even if it is worse
             # than the point the previous iteration ended at.
-            fvals = self.iset.objective_values()
-            self.iset.set_base(moved[int(np.argmin(fvals[moved]))])
+            fvals = iset.objective_values()
+            iset.set_base(moved[int(np.argmin(fvals[moved]))])
         else:
-            self.iset.rebase()
+            iset.rebase()
 
     def _restart_geometry_point(self, t, center):
-        try:
-            basis = lagrange_basis(self.iset)
-            y = geometry_point(basis, t, center, self.p.delta0,
-                               (self.lower, self.upper), self.rng)
-        except DegenerateSetError:
-            y = self._clip(center + self.p.delta0 * random_unit(self.rng, self.n))
+        y = self._geometry_point(t, center, self.p.delta0)
         if self.iset.has_point(y):
             d = random_unit(self.rng, self.n)
             y = self._clip(center + self.p.delta0 * self.rng.uniform(0.5, 1.0) * d)
@@ -606,12 +574,8 @@ class _Loop:
             raise _Terminate(EXIT_NOISE_LEVEL)
 
         growing = self._growing()
-        basis = None
         try:
-            if growing:
-                lm = build_linear_model(iset, repair_rank=(p.growing == "svd"))
-            else:
-                lm, basis = fit_model_and_basis(iset)
+            lm, basis = fit_model_and_basis(iset, repair_rank=(p.growing == "svd"))
         except DegenerateSetError:
             self._repair_degenerate()
             return
@@ -681,7 +645,7 @@ class _Loop:
             return
 
         if needs_geometry_improvement(iset, iset.base_point(), self._geom_epsilon()):
-            self._improve_geometry(self.delta)
+            self._improve_geometry()
             return
 
         # Unsuccessful phase: reduce the lower radius once delta has hit it.
@@ -693,7 +657,7 @@ class _Loop:
             self._growing_safety()
             return
         self.delta = max(self.rho, self.p.omega_safety * self.delta)
-        self._improve_geometry(self.delta)
+        self._improve_geometry()
         if self.delta <= self.rho:
             self._reduce_rho()
 

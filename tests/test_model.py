@@ -137,6 +137,48 @@ class TestBuildLinearModel:
             fixed = build_linear_model(iset, repair_rank=True)
             assert np.linalg.matrix_rank(fixed.J, tol=1e-10) == n
 
+    def test_growing_fit_is_the_min_norm_branch_bitwise(self):
+        # The growing set's fit (p < n) through the one fit entry point is the
+        # standalone min-norm interpolant below, bit for bit, and has no basis.
+        from dfls.linalg import clamp_singular_values, solve_min_norm
+
+        def min_norm_fit(iset, repair_rank):
+            p = iset.npt - 1
+            diff = iset.points - iset.base_point()
+            alpha = float(np.max(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
+            scale = np.sqrt(alpha)
+            W = np.empty((iset.npt, iset.n + 1))
+            W[:, 0] = 1.0
+            W[:, 1:] = diff / scale
+            Z = solve_min_norm(W, iset.values)
+            J = Z[1:].T / scale
+            if repair_rank:
+                J = clamp_singular_values(J, p)
+            return Z[0].copy(), J, alpha
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            p = int(rng.integers(1, n))
+            m = int(rng.integers(1, 2 * n + 1))
+            iset = InterpolationSet(rng.standard_normal((p + 1, n)),
+                                    base_index=int(rng.integers(p + 1)))
+            for t in range(p + 1):
+                iset.set_value(t, rng.standard_normal(m))
+            for repair_rank in (True, False):
+                lm, basis = fit_model_and_basis(iset, repair_rank=repair_rank)
+                r, J, alpha = min_norm_fit(iset, repair_rank)
+                assert basis is None
+                assert np.array_equal(lm.r, r) and np.array_equal(lm.J, J)
+                assert lm.alpha == alpha
+                assert np.array_equal(build_linear_model(iset, repair_rank).J, J)
+
+    def test_unevaluated_points_raise(self):
+        iset = InterpolationSet(np.vstack([np.zeros(2), np.eye(2)]))
+        iset.set_value(0, np.ones(3))
+        with pytest.raises(ValueError, match="unevaluated"):
+            build_linear_model(iset)
+
     def test_preconditioning_matches_unscaled_solution(self):
         rng = np.random.default_rng(5)
         n, m, p = 3, 4, 6

@@ -255,13 +255,6 @@ class TestNoiseStd:
         p = get_problem("rosenbrock")
         assert noise_std_at(p, NoiseModel("none", 0.0), p.x0) == 0.0
 
-    def test_deterministic_per_seed(self):
-        p = get_problem("bard")
-        noise = NoiseModel("add_gaussian", 1e-2)
-        a = noise_std_at(p, noise, p.x0, n_samples=10**4, seed=7)
-        b = noise_std_at(p, noise, p.x0, n_samples=10**4, seed=7)
-        assert a == b
-
     def test_chi_square_variance_at_zero_residual(self):
         # Additive noise at a zero-residual point with m = 1: the noisy
         # objective is eps^2, whose standard deviation is sqrt(2) sigma^2.
@@ -271,6 +264,24 @@ class TestNoiseStd:
                                    residual=lambda x: np.array([x[0]]),
                                    x0=np.array([1.0]), f_star=0.0)
         sigma = 1e-1
-        est = noise_std_at(prob, NoiseModel("add_gaussian", sigma),
-                           np.array([0.0]), n_samples=10**5, seed=0)
-        assert est == pytest.approx(np.sqrt(2.0) * sigma**2, rel=0.1)
+        for kind in ("add_gaussian", "add_chi2"):
+            est = noise_std_at(prob, NoiseModel(kind, sigma), np.array([0.0]))
+            assert est == pytest.approx(np.sqrt(2.0) * sigma**2, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["mult_gaussian", "add_gaussian", "add_chi2"])
+    @pytest.mark.parametrize("name", ["bard", "osborne1"])
+    def test_matches_monte_carlo(self, kind, name):
+        # At x* with sigma = 0.3 the sigma^4 terms weigh 2-30% of the standard
+        # deviation, while that of 200,000 draws is within 0.3% of the truth.
+        p = get_problem(name)
+        noise = NoiseModel(kind, 0.3)
+        r = p.residual(p.x_star)
+        eps = np.random.default_rng(3).normal(0.0, noise.sigma, size=(200_000, r.size))
+        if kind == "mult_gaussian":
+            rt = (1.0 + eps) * r
+        elif kind == "add_gaussian":
+            rt = r + eps
+        else:
+            rt = np.sqrt(r * r + eps * eps)
+        mc = np.std(np.einsum("ij,ij->i", rt, rt), ddof=1)
+        assert noise_std_at(p, noise, p.x_star) == pytest.approx(mc, rel=0.01)

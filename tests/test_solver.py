@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ from dfls.params import (
     nsamples_policy,
     resolve_params,
 )
+from dfls.linalg import DegenerateSetError, random_unit
+from dfls.model import geometry_point, lagrange_basis
 from dfls.problems import NoiseModel, NoisyProblem, get_problem
 from dfls.solver import (
     EXIT_BUDGET,
@@ -123,6 +126,36 @@ class TestEvaluateAveraged:
         assert policy(0.1, 0.25, 0, 0) == 4
         assert policy(0.1, 2.0, 0, 0) == 1
 
+    def test_one_guard_for_single_and_batch_samples(self):
+        # A raising or non-finite sample fails the average on either path; a
+        # residual that is not 1-D is a ValueError on either path.
+        class Residual:
+            def __init__(self, value):
+                self.value = value
+
+            def __call__(self, x, n_samples=1):
+                if isinstance(self.value, Exception):
+                    raise self.value
+                return self.value
+
+            sample_mean = __call__
+
+        loop = make_loop(rosen, np.array([-1.2, 1.0]),
+                         SolverParams(delta0=0.1, nsamples="const:3"))
+        for value in (FloatingPointError("overflow"), np.array([1.0, np.nan])):
+            res = Residual(value)
+            for fun in (res, res.__call__):  # batch path, then one sample at a time
+                loop.fun = fun
+                before = loop.n_evals
+                rbar, fbar, n = loop.evaluate_averaged(np.zeros(2))
+                assert rbar is None and fbar == np.inf and n == 3
+                assert loop.n_evals == before + 3
+        res = Residual(np.ones((2, 1)))
+        for fun in (res, res.__call__):
+            loop.fun = fun
+            with pytest.raises(ValueError, match="1-D"):
+                loop.evaluate_averaged(np.zeros(2))
+
     def test_budget_truncation(self):
         loop = make_loop(rosen, np.array([-1.2, 1.0]),
                          SolverParams(delta0=0.1, nsamples="const:10", max_evals=35))
@@ -189,6 +222,62 @@ class TestNoiseLevelTermination:
         iset2 = self.make_set([1.0, 1.0 + 0.6 * eps], [1, 1])
         assert check_noise_level_termination(iset2, NoiseLevelConfig(level=eps))
 
+    def test_matches_the_pointwise_loop(self):
+        def loop_reference(iset, cfg):
+            fvals = iset.objective_values()
+            fk = iset.base_objective()
+            thresholds = cfg.scale * cfg.level / np.sqrt(iset.sample_counts)
+            for t in range(iset.npt):
+                if t == iset.base_index:
+                    continue
+                if cfg.multiplicative and fk != 0.0:
+                    dev = abs(fvals[t] / fk)
+                else:
+                    dev = abs(fvals[t] - fk)
+                if dev > thresholds[t]:
+                    return False
+            return True
+
+        rng = np.random.default_rng(13)
+        outcomes = set()
+        for _ in range(2000):
+            npt = int(rng.integers(1, 6))
+            fvals = rng.choice([0.0, 1.0, 2.0], npt) * rng.uniform(0.5, 1.5, npt)
+            iset = self.make_set(fvals, rng.integers(1, 5, npt))
+            cfg = NoiseLevelConfig(level=float(rng.uniform(0.0, 3.0)),
+                                   multiplicative=bool(rng.integers(2)),
+                                   scale=float(rng.uniform(0.5, 2.0)))
+            expected = loop_reference(iset, cfg)
+            assert check_noise_level_termination(iset, cfg) is expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_multiplicative_mode_is_scale_free(self):
+        for scale in (1e-6, 1.0, 1e6):
+            near = self.make_set([scale, 1.5 * scale, 1.2 * scale], [1, 1, 1])
+            far = self.make_set([scale, 3.5 * scale, 1.2 * scale], [1, 1, 1])
+            cfg = NoiseLevelConfig(level=2.0, multiplicative=True)
+            assert check_noise_level_termination(near, cfg)
+            assert not check_noise_level_termination(far, cfg)
+        # The additive mode on the same values depends on their scale.
+        big = self.make_set([100.0, 150.0, 120.0], [1, 1, 1])
+        assert not check_noise_level_termination(big, NoiseLevelConfig(level=2.0))
+        assert check_noise_level_termination(
+            big, NoiseLevelConfig(level=2.0, multiplicative=True))
+
+    def test_multiplicative_mode_falls_back_to_additive_at_zero_base(self):
+        cfg = NoiseLevelConfig(level=1.0, multiplicative=True)
+        assert check_noise_level_termination(self.make_set([0.0, 0.5, 0.9], [1, 1, 1]), cfg)
+        assert not check_noise_level_termination(self.make_set([0.0, 1.5], [1, 1]), cfg)
+
+    def test_base_point_is_skipped(self):
+        # The base's own ratio, 1, exceeds its threshold 2 / sqrt(100) but
+        # does not count; the other point's 2.25 is within 2.5.
+        iset = self.make_set([1.0, 2.25], [100, 1])
+        assert iset.base_index == 0
+        cfg = NoiseLevelConfig(level=2.5, multiplicative=True)
+        assert check_noise_level_termination(iset, cfg)
+
 
 class TestAutoDetect:
     cfg = RestartConfig(window=5, slope_threshold=0.05, corr_threshold=0.1)
@@ -239,6 +328,53 @@ class TestRestarts:
         before = loop.n_evals
         loop._do_restart("soft_moving")
         assert loop.n_evals - before == loop.p.restarts.n_move
+
+    def test_hard_restart_keeps_base_value_and_sample_count(self):
+        loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.1, noisy=True))
+        old = loop.iset
+        b = old.base_index
+        old.sample_counts[b] = 7
+        point, value = old.base_point().copy(), old.base_value().copy()
+        loop._do_restart("hard")
+        assert loop.iset is not old
+        assert np.array_equal(loop.iset.points[0], point)
+        assert np.array_equal(loop.iset.values[0], value)
+        assert loop.iset.sample_counts[0] == 7
+        assert loop.iset.npt == loop.p.p + 1
+
+    @staticmethod
+    def soft_restart_evaluations(kind):
+        evaluated = []
+
+        def fun(x):
+            evaluated.append(x.copy())
+            return np.array([float(x @ x) + 1.0, x[0]])
+
+        loop = make_loop(fun, np.full(5, 0.3), SolverParams(delta0=0.1, noisy=True), seed=4)
+        old_base = loop.iset.base_index
+        old_xk = loop.iset.base_point().copy()
+        evaluated.clear()
+        loop._do_restart(kind)
+        return loop, old_base, old_xk, evaluated
+
+    def test_soft_moving_restart_moves_the_base_slot_first(self):
+        loop, old_base, old_xk, evaluated = self.soft_restart_evaluations("soft_moving")
+        delta0 = loop.p.delta0
+        assert len(evaluated) == loop.p.restarts.n_move
+        moved_base = evaluated[0]
+        assert np.array_equal(loop.iset.points[old_base], moved_base)
+        assert np.linalg.norm(moved_base - old_xk) <= delta0 * (1 + 1e-12)
+        for y in evaluated[1:]:
+            assert np.linalg.norm(y - moved_base) <= delta0 * (1 + 1e-12)
+            assert any(np.array_equal(y, pt) for pt in loop.iset.points)
+
+    def test_soft_fixed_restart_keeps_the_base_slot(self):
+        loop, old_base, old_xk, evaluated = self.soft_restart_evaluations("soft_fixed")
+        assert len(evaluated) == loop.p.restarts.n_move
+        assert np.array_equal(loop.iset.points[old_base], old_xk)
+        for y in evaluated:
+            assert np.linalg.norm(y - old_xk) <= loop.p.delta0 * (1 + 1e-12)
+            assert any(np.array_equal(y, pt) for pt in loop.iset.points)
 
     def test_exhausted_restarts_terminate(self):
         # A constant objective never improves, so failed restarts accumulate.
@@ -308,6 +444,35 @@ class TestMultiMove:
                  if not np.array_equal(pts_before[t], loop.iset.points[t])}
         assert moved == furthest
 
+    def test_default_count_is_resolved_once(self):
+        assert resolve_params(SolverParams(), 5, 1.0).multi_move_count == 3
+        assert resolve_params(SolverParams(p=2, p_init=2), 2, 1.0).multi_move_count == 2
+        assert resolve_params(SolverParams(multi_move_count=5), 5, 1.0).multi_move_count == 5
+
+    def test_geometry_mechanism_on_a_degenerate_set_takes_random_steps(self):
+        # With every point on one line there is no Lagrange basis: each of
+        # the furthest points moves to a random spot at distance delta.
+        def fun(x):
+            return np.append(x, 1.0)
+
+        params = SolverParams(delta0=0.5, p=6, multi_move="geometry", multi_move_count=2)
+        loop = make_loop(fun, np.zeros(3), params, seed=2)
+        iset = loop.iset
+        for t in range(iset.npt):
+            y = np.array([0.2 * t, 0.0, 0.0])
+            iset.put(t, y, fun(y))
+        iset.set_base(0)
+        with pytest.raises(DegenerateSetError):
+            lagrange_basis(iset)
+        xk = iset.base_point().copy()
+        rng = copy.deepcopy(loop.rng)
+        expected = {}
+        for t in (6, 5):
+            expected[t] = xk + loop.delta * random_unit(rng, 3)
+        loop._multi_move(np.array([0.1, 0.0, 0.0]))
+        for t, y in expected.items():
+            assert np.array_equal(iset.points[t], y)
+
     def test_nothing_mechanism_changes_one_point_per_iteration(self):
         record = []
 
@@ -320,6 +485,28 @@ class TestMultiMove:
                        record_trace=True)
         sizes = [t["npt"] for t in result.diagnostics["trace"]]
         assert all(s == 3 for s in sizes)
+
+
+class TestGeometryPoint:
+    def test_degenerate_set_takes_a_clipped_random_step(self):
+        # A growing set (p < n) has no Lagrange basis.
+        lower, upper = np.full(4, -0.05), np.full(4, 0.05)
+        loop = make_loop(lambda x: np.append(x, 1.0), np.zeros(4),
+                         SolverParams(delta0=0.02, p_init=1), bounds=(lower, upper))
+        with pytest.raises(DegenerateSetError):
+            lagrange_basis(loop.iset)
+        center = np.array([0.049, -0.049, 0.049, -0.049])
+        step = 0.03 * random_unit(copy.deepcopy(loop.rng), 4)
+        expected = np.clip(center + step, lower, upper)
+        assert not np.array_equal(expected, center + step)  # the box binds
+        assert np.array_equal(loop._geometry_point(1, center, 0.03), expected)
+
+    def test_poised_set_gives_the_lagrange_maximizer(self):
+        loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.1))
+        center = loop.iset.base_point().copy()
+        expected = geometry_point(lagrange_basis(loop.iset), 1, center, 0.05,
+                                  (loop.lower, loop.upper), copy.deepcopy(loop.rng))
+        assert np.array_equal(loop._geometry_point(1, center, 0.05), expected)
 
 
 class TestVariableScaling:
