@@ -16,8 +16,11 @@ observed measures comparable.
 
 import csv
 import math
+import multiprocessing
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 TAU_MAX = 1e-1
+
+# Pinned to 1 in parallel workers: several unpinned BLAS pools oversubscribe the cores.
+WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -90,10 +96,7 @@ def measure_true(record, tau_value):
     run never got there.
     """
     threshold = record.f_star + tau_value * (record.f0_true - record.f_star)
-    hit = np.nonzero(record.best_true <= threshold)[0]
-    if hit.size == 0:
-        return np.inf
-    return float(record.eval_indices[hit[0]])
+    return _first_hit(record, record.best_true, threshold)
 
 
 def measure_noisy(record, tau_value, noise=None):
@@ -106,11 +109,13 @@ def measure_noisy(record, tau_value, noise=None):
         noise = record.noise_model()
     ef_star = expected_noisy_objective(record, noise, f=record.f_star)
     ef0 = expected_noisy_objective(record, noise, f=record.f0_true)
-    threshold = ef_star + tau_value * (ef0 - ef_star)
-    hit = np.nonzero(record.best_noisy <= threshold)[0]
-    if hit.size == 0:
-        return np.inf
-    return float(record.eval_indices[hit[0]])
+    return _first_hit(record, record.best_noisy, ef_star + tau_value * (ef0 - ef_star))
+
+
+def _first_hit(record, best, threshold):
+    """Evaluation count of the first event with best <= threshold (inf if none)."""
+    hit = np.nonzero(best <= threshold)[0]
+    return float(record.eval_indices[hit[0]]) if hit.size else np.inf
 
 
 def tau_crit(problem, noise):
@@ -245,9 +250,23 @@ def run_one(name, noise, seed, budget_mult, params=None):
         n_evals=result.n_evals, exit_flag=result.exit_flag)
 
 
-def _run_one_args(args):
-    name, kind, sigma, seed, budget_mult, params = args
-    return run_one(name, NoiseModel(kind, sigma), seed, budget_mult, params)
+@contextmanager
+def _worker_pool(jobs):
+    """Spawned workers inherit BLAS pinned to one thread before they import numpy.
+
+    The parent's own thread variables are restored once the pool has shut down.
+    """
+    saved = {var: os.environ.get(var) for var in WORKER_THREAD_VARS}
+    os.environ.update(dict.fromkeys(WORKER_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def run_suite(problem_names, noise, seeds, budget_mult, params=None, jobs=1):
@@ -255,15 +274,15 @@ def run_suite(problem_names, noise, seeds, budget_mult, params=None, jobs=1):
 
     Each pair gets its own noise stream and solver stream, so results do not
     depend on scheduling; with jobs > 1 the pairs run in parallel processes
-    (params must then avoid callable fields).
+    with BLAS pinned to one thread (params must then avoid callable fields).
     """
-    tasks = [(name, noise.kind, noise.sigma, int(seed), budget_mult, params)
+    tasks = [(name, noise, int(seed), budget_mult, params)
              for name in problem_names for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one_args, tasks))
+        with _worker_pool(jobs) as pool:
+            records = list(pool.map(run_one, *zip(*tasks)))
     else:
-        records = [_run_one_args(t) for t in tasks]
+        records = [run_one(*t) for t in tasks]
     records.sort(key=lambda r: (r.problem, r.seed))
     return records
 

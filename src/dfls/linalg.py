@@ -33,6 +33,15 @@ class DegenerateSetError(Exception):
     """Raised when an interpolation system is numerically rank-deficient."""
 
 
+def _full_rank_lstsq(W, B):
+    """lstsq(W, B); DegenerateSetError unless W has full rank min(W.shape)."""
+    Z, _, rank, _ = np.linalg.lstsq(np.asarray(W, dtype=float), np.asarray(B, dtype=float),
+                                    rcond=RANK_TOL)
+    if rank < min(np.shape(W)):
+        raise DegenerateSetError("degenerate interpolation set")
+    return Z
+
+
 def solve_regression(W, B):
     """Least-squares solution of the overdetermined system W z = B.
 
@@ -43,14 +52,9 @@ def solve_regression(W, B):
     Raises DegenerateSetError if W is column-rank-deficient, which signals the
     caller to repair the interpolation geometry.
     """
-    W = np.asarray(W, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if W.shape[0] < W.shape[1]:
+    if np.shape(W)[0] < np.shape(W)[1]:
         raise ValueError("system is underdetermined; use solve_min_norm")
-    Z, _, rank, _ = np.linalg.lstsq(W, B, rcond=RANK_TOL)
-    if rank < W.shape[1]:
-        raise DegenerateSetError("degenerate interpolation set")
-    return Z
+    return _full_rank_lstsq(W, B)
 
 
 def solve_min_norm(W, B):
@@ -59,14 +63,9 @@ def solve_min_norm(W, B):
     W is (p+1) x (n+1) with p < n and must have full row rank. Each output
     column satisfies W z = b exactly and lies in the row space of W.
     """
-    W = np.asarray(W, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if W.shape[0] > W.shape[1]:
+    if np.shape(W)[0] > np.shape(W)[1]:
         raise ValueError("system is overdetermined; use solve_regression")
-    Z, _, rank, _ = np.linalg.lstsq(W, B, rcond=RANK_TOL)
-    if rank < W.shape[0]:
-        raise DegenerateSetError("degenerate interpolation set")
-    return Z
+    return _full_rank_lstsq(W, B)
 
 
 def clamp_singular_values(J, p):

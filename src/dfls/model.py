@@ -43,7 +43,7 @@ logger = logging.getLogger("dfls")
 MIN_INITIAL_STEP_FRAC = 1e-3
 
 # Cached square inverse: a rank-one update whose denominator |L_t(y)| is below
-# INVERSE_DENOM_TOL, or a cached inverse whose probe residual
+# INVERSE_DENOM_TOL, or an updated inverse whose probe residual
 # ||W (Z v) - v|| / ||v|| exceeds INVERSE_PROBE_TOL, is refactorized from scratch.
 INVERSE_DENOM_TOL = 1e-3
 INVERSE_PROBE_TOL = 1e-10
@@ -55,13 +55,14 @@ class InterpolationSet:
     The base point is kept at the minimum of ||values[t]||^2 over the set;
     call sites that fill values lazily must call rebase() once done.
 
-    With exactly n+1 points the set caches Z = W^{-1}, the inverse of the
-    interpolation matrix with rows [1, (y_t - b_f)/alpha_f] in a frame (b_f,
-    alpha_f) fixed when Z was factorized. put() keeps Z current with one
-    Sherman-Morrison update per replaced point; square_inverse() maps it to
-    the current base and radius, so neither a base move nor a radius change
-    needs a hook. refactorizations counts the from-scratch factorizations by
-    cause: "first" use, n+1 "updates", small "denominator", failed "probe".
+    With p >= n points beyond the base the set caches Z = W^+ for rows
+    [1, (y_t - b_f)/alpha_f] in a frame (b_f, alpha_f) fixed, and Z tested for
+    finiteness, when Z was factorized. put() keeps a square Z current with one
+    Sherman-Morrison update per replaced point and drops a tall one;
+    pseudo_inverse() maps Z to the current base and radius, so neither a base
+    move nor a radius change needs a hook. refactorizations counts the
+    from-scratch factorizations by cause: "first" use, n+1 "updates" (a tall
+    set allows none), small "denominator", failed "probe".
     """
 
     def __init__(self, points, values=None, sample_counts=None, base_index=0):
@@ -163,12 +164,12 @@ class InterpolationSet:
         self._stale = cause
 
     def _update_inverse(self, t, y):
-        """Sherman-Morrison update of Z for row t moving to y.
+        """Sherman-Morrison update of a square Z for row t moving to y.
 
         The denominator is L_t(y), the t-th Lagrange polynomial in the frame;
         column t becomes z_t / L_t(y) and column j loses z_t L_j(y) / L_t(y).
         """
-        if self._updates > self.n:
+        if self._updates > self.n or self.npt > self.n + 1:
             self._drop_inverse("updates")
             return
         Z = self._inv
@@ -191,28 +192,33 @@ class InterpolationSet:
         res = u[0] + ((self.points - base) / alpha) @ u[1:] - v
         return float(np.linalg.norm(res) / np.linalg.norm(v))
 
-    def square_inverse(self):
-        """(Z, alpha): the inverse of the n+1 square interpolation matrix.
+    def pseudo_inverse(self):
+        """(Z, alpha): W^+ for the p >= n interpolation matrix W (W^{-1} if p == n).
 
-        Z = W^{-1} for W with rows [1, (y_t - x_k)/alpha], x_k the base point
-        and alpha the set radius. Column t holds the coefficients of the
-        Lagrange polynomial L_t; Z @ values those of the linear model. The
-        cached frame inverse is mapped in O(n^2): Z_0 += ((x_k - b_f)/alpha_f) Z_1:,
-        then Z_1: *= alpha/alpha_f. Raises DegenerateSetError for a singular set.
+        W has rows [1, (y_t - x_k)/alpha], x_k the base point and alpha the set
+        radius. Column t of Z holds the coefficients of the regression Lagrange
+        polynomial L_t; Z @ values those of the linear model. The cached frame
+        Z is mapped in O(pn), exactly for any full-column-rank W: Z_0 +=
+        ((x_k - b_f)/alpha_f) Z_1:, then Z_1: *= alpha/alpha_f. Raises
+        DegenerateSetError for p < n and for a singular or non-finite system.
         """
-        if self.npt != self.n + 1:
-            raise ValueError("square_inverse needs exactly n+1 points")
         alpha = set_radius(self)
-        if alpha <= 0.0:
+        if self.npt <= self.n or alpha <= 0.0:
             raise DegenerateSetError("degenerate interpolation set")
         if (self._inv is not None and self._updates
                 and not self._probe_residual() <= INVERSE_PROBE_TOL):
             self._drop_inverse("probe")
         if self._inv is None:
-            try:
-                inv = np.linalg.solve(_interp_matrix(self, alpha), np.eye(self.npt))
-            except np.linalg.LinAlgError:
-                raise DegenerateSetError("degenerate interpolation set") from None
+            W = _interp_matrix(self, alpha)
+            if self.npt == self.n + 1:
+                try:
+                    inv = np.linalg.solve(W, np.eye(self.npt))
+                except np.linalg.LinAlgError:
+                    raise DegenerateSetError("degenerate interpolation set") from None
+            else:
+                inv = solve_regression(W, np.eye(self.npt))
+            if not np.all(np.isfinite(inv)):
+                raise DegenerateSetError("degenerate interpolation set")
             self._inv = inv
             self._frame = (self.base_point().copy(), alpha)
             self._updates = 0
@@ -285,12 +291,10 @@ def _feasible_step(x0, direction, delta, lower, upper):
         y = x0 + sign * delta * direction
         if np.all(y >= lower) and np.all(y <= upper):
             return y
-    y = np.clip(x0 + delta * direction, lower, upper)
-    if np.linalg.norm(y - x0) >= MIN_INITIAL_STEP_FRAC * delta:
-        return y
-    y = np.clip(x0 - delta * direction, lower, upper)
-    if np.linalg.norm(y - x0) >= MIN_INITIAL_STEP_FRAC * delta:
-        return y
+    for sign in (1.0, -1.0):
+        y = np.clip(x0 + sign * delta * direction, lower, upper)
+        if np.linalg.norm(y - x0) >= MIN_INITIAL_STEP_FRAC * delta:
+            return y
     return None
 
 
@@ -331,10 +335,9 @@ def build_initial_set(x0, delta0, p_init, bounds, rng):
 
 def _interp_matrix(iset, scale):
     """Rows [1, (y_t - x_k)^T / scale] for every point of the set."""
-    dy = (iset.points - iset.base_point()) / scale
     W = np.empty((iset.npt, iset.n + 1))
     W[:, 0] = 1.0
-    W[:, 1:] = dy
+    W[:, 1:] = (iset.points - iset.base_point()) / scale
     return W
 
 
@@ -360,30 +363,11 @@ def full_model(lm):
     return FullModel(c=float(lm.r @ lm.r), g=g, H=H)
 
 
-def _solve_interpolation(iset, rhs):
-    """(W^+ rhs, Lagrange basis, alpha) for the set's scaled system; needs p >= n.
-
-    With p == n, W^+ is the set's cached square inverse; with p > n it comes
-    from one least-squares solve against [rhs, I]. The basis polynomials are
-    the columns of W^+, centred at the base point.
-    """
-    p = iset.npt - 1
-    if p < iset.n:
-        raise DegenerateSetError("degenerate interpolation set")
-    if p == iset.n:
-        Z, alpha = iset.square_inverse()
-        Zm = Z @ rhs
-    else:
-        alpha = set_radius(iset)
-        if alpha <= 0.0:
-            raise DegenerateSetError("degenerate interpolation set")
-        k = rhs.shape[1]
-        Z = solve_regression(_interp_matrix(iset, alpha), np.hstack([rhs, np.eye(iset.npt)]))
-        Zm, Z = Z[:, :k], Z[:, k:]
-    if not np.all(np.isfinite(Z)):
-        raise DegenerateSetError("degenerate interpolation set")
+def _solve_interpolation(iset):
+    """(W^+, its columns as the Lagrange basis at the base point, alpha); p >= n."""
+    Z, alpha = iset.pseudo_inverse()
     basis = LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
-    return Zm, basis, alpha
+    return Z, basis, alpha
 
 
 def lagrange_basis(iset):
@@ -391,19 +375,19 @@ def lagrange_basis(iset):
 
     Requires p >= n points beyond the base and a full-column-rank system.
     """
-    return _solve_interpolation(iset, np.empty((iset.npt, 0)))[1]
+    return _solve_interpolation(iset)[1]
 
 
 def fit_model_and_basis(iset, repair_rank=True):
     """Linear residual model and Lagrange basis of the set from one factorization.
 
-    With p >= n points beyond the base the model is the regression fit (the
-    cached square inverse when p == n, a least-squares solve when p > n) and
-    the basis comes from the same factorization. With p < n the basis is
-    None and the model is the exact interpolant minimizing
+    With p >= n points beyond the base the model is the regression fit
+    W^+ values, and the basis the columns of the same cached W^+. With p < n
+    the basis is None and the model is the exact interpolant minimizing
     ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank p and is then made
     full-rank by raising its trailing singular values (unless repair_rank is
-    false, for the perturbed-step growing variant).
+    false, for the perturbed-step growing variant). r and J are not tested for
+    finiteness here; a non-finite one shows in full_model's g or H.
     """
     p = iset.npt - 1
     if p < iset.n:
@@ -419,12 +403,10 @@ def fit_model_and_basis(iset, repair_rank=True):
         if repair_rank:
             J = clamp_singular_values(J, p)
     else:
-        Zm, basis, alpha = _solve_interpolation(iset, iset.values)
+        Z, basis, alpha = _solve_interpolation(iset)
+        Zm = Z @ iset.values
         J = Zm[1:].T / alpha
-    r = Zm[0].copy()
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
-        raise DegenerateSetError("degenerate interpolation set")
-    return LinearResidualModel(r=r, J=J, alpha=alpha), basis
+    return LinearResidualModel(r=Zm[0].copy(), J=J, alpha=alpha), basis
 
 
 def poisedness_estimate(iset, center, delta):
@@ -468,11 +450,7 @@ def geometry_point(basis, t, center, delta, bounds=None, rng=None):
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         logger.warning("geometry step: zero Lagrange gradient, using a random direction")
-        if rng is None:
-            d = np.zeros(n)
-            d[0] = 1.0
-        else:
-            d = random_unit(rng, n)
+        d = np.eye(n)[0] if rng is None else random_unit(rng, n)
         return np.clip(center + delta * d, lower, upper)
     step = delta * g / gnorm
     cands = [np.clip(center + step, lower, upper), np.clip(center - step, lower, upper)]

@@ -10,6 +10,7 @@ with optional stagnation auto-detection.
 """
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,12 @@ _MAX_CONSECUTIVE_FAILURES = 50
 
 @dataclass
 class Results:
-    """Solver output: best point found, its observed objective value, and counters."""
+    """Solver output: best point found, its observed objective value, and counters.
+
+    diagnostics["eval_failures"] counts failed evaluations by exception type
+    name or "nonfinite"; diagnostics["refactorizations"] the run's
+    interpolation factorizations by cause (InterpolationSet.refactorizations).
+    """
 
     x: np.ndarray
     f: float
@@ -130,14 +136,16 @@ def check_slow_decrease(f_history, cfg):
 def check_noise_level_termination(iset, cfg):
     """True when every set value sits within the configured noise level of the base.
 
-    Additive mode compares |f(y_t) - f(x_k)|, multiplicative mode the ratio
-    |f(y_t)/f(x_k)|, each against scale * level / sqrt(N_t). A zero base value
-    makes the multiplicative mode fall back to the additive comparison.
+    Each |f(y_t) - f(x_k)| is compared with scale * level / sqrt(N_t) in
+    additive mode and with scale * level * |f(x_k)| / sqrt(N_t) in
+    multiplicative mode. A zero base value makes the multiplicative mode fall
+    back to the additive comparison.
     """
     fvals = iset.objective_values()
     fk = iset.base_objective()
-    thresholds = cfg.scale * cfg.level / np.sqrt(iset.sample_counts)
-    dev = np.abs(fvals / fk if cfg.multiplicative and fk != 0.0 else fvals - fk)
+    size = abs(fk) if cfg.multiplicative and fk != 0.0 else 1.0
+    thresholds = cfg.scale * cfg.level * size / np.sqrt(iset.sample_counts)
+    dev = np.abs(fvals - fk)
     dev[iset.base_index] = -np.inf
     return not np.any(dev > thresholds)
 
@@ -220,19 +228,6 @@ def _residual_array(value):
     return r
 
 
-def _eval_once(fun, *args):
-    """fun(*args) as a residual vector, or None when it raised or is not finite."""
-    try:
-        value = fun(*args)
-    except Exception:
-        logger.debug("objective evaluation raised; treating value as +inf")
-        return None
-    r = _residual_array(value)
-    if not np.all(np.isfinite(r)):
-        return None
-    return r
-
-
 class _Loop:
     """State and phases of one solver run (single-threaded, owns all state)."""
 
@@ -245,7 +240,6 @@ class _Loop:
         self.p = params
         self.rng = rng
         self.eval_hook = eval_hook
-        self.record_trace = record_trace
 
         self.nsamples = nsamples_policy(params.nsamples)
         self.delta = params.delta0
@@ -266,8 +260,23 @@ class _Loop:
         self.jac_history = []      # (iteration, log ||J_k - J_{k-1}||_F)
         self.success_f = []        # objective at successful iterations
         self.trace = [] if record_trace else None
+        self.eval_failures = Counter()
 
     # -- evaluation ---------------------------------------------------------
+
+    def _eval_once(self, fun, *args):
+        """fun(*args) as a residual, or None (counted) when it raised or is not finite."""
+        try:
+            value = fun(*args)
+        except Exception as exc:
+            logger.debug("objective evaluation raised; treating value as +inf", exc_info=True)
+            self.eval_failures[type(exc).__name__] += 1
+            return None
+        r = _residual_array(value)
+        if not np.all(np.isfinite(r)):
+            self.eval_failures["nonfinite"] += 1
+            return None
+        return r
 
     def evaluate_averaged(self, x):
         """Mean of N residual samples at x; every sample counts against the budget.
@@ -285,21 +294,14 @@ class _Loop:
         batch = getattr(self.fun, "sample_mean", None) if n_use > 1 else None
         if batch is not None:
             self.n_evals += n_use
-            rbar = _eval_once(batch, x, n_use)
+            rbar = self._eval_once(batch, x, n_use)
         else:
-            acc = None
-            failed = False
+            samples = []
             for _ in range(n_use):
                 self.n_evals += 1
-                r = _eval_once(self.fun, x)
-                if r is None:
-                    failed = True
-                elif acc is None:
-                    acc = r.copy()
-                else:
-                    acc += r
-            if acc is not None and not failed:
-                rbar = acc / n_use
+                samples.append(self._eval_once(self.fun, x))
+            if all(r is not None for r in samples):
+                rbar = sum(samples[1:], samples[0]) / n_use
         if rbar is None:
             self.consecutive_failures += 1
             if self.consecutive_failures > _MAX_CONSECUTIVE_FAILURES:
@@ -490,10 +492,8 @@ class _Loop:
         self.rho = self.p.delta0
         if kind == "hard":
             self._hard_restart()
-        elif kind == "soft_moving":
-            self._soft_restart(move_base=True)
         else:
-            self._soft_restart(move_base=False)
+            self._soft_restart(move_base=(kind == "soft_moving"))
 
     def _hard_restart(self):
         """Rebuild the whole set around the current base, like the initial set."""
@@ -501,6 +501,7 @@ class _Loop:
         fresh = build_initial_set(old.base_point(), self.p.delta0, self.p.p,
                                   (self.lower, self.upper), self.rng)
         fresh.set_value(0, old.base_value(), old.sample_counts[old.base_index])
+        fresh.refactorizations = old.refactorizations  # the run's counts go on
         self._fill_initial_values(fresh)
         self.iset = fresh
 
@@ -540,7 +541,6 @@ class _Loop:
     # -- main loop ----------------------------------------------------------
 
     def run(self):
-        exit_flag = EXIT_BUDGET
         try:
             self._initialize()
             while True:
@@ -579,11 +579,12 @@ class _Loop:
         except DegenerateSetError:
             self._repair_degenerate()
             return
-        self._record_jacobian(lm.J)
         fm = full_model(lm)
+        # The model's one finiteness test: a non-finite r or J shows in g or H.
         if not (np.all(np.isfinite(fm.g)) and np.all(np.isfinite(fm.H))):
             self._repair_degenerate()
             return
+        self._record_jacobian(lm.J)
 
         xk = iset.base_point()
         s = solve_trust_region(fm, self.delta, self.lower - xk, self.upper - xk)
@@ -667,6 +668,8 @@ class _Loop:
             "n_restarts": self.n_restarts,
             "delta": self.delta,
             "rho": self.rho,
+            "eval_failures": dict(self.eval_failures),
+            "refactorizations": dict(self.iset.refactorizations),
         }
         if self.trace is not None:
             diagnostics["trace"] = self.trace
@@ -759,4 +762,5 @@ def _evaluate_fixed_point(residuals, x, eval_hook):
     if eval_hook is not None:
         eval_hook(1, x.copy(), f, 1)
     return Results(x=x, f=f, n_evals=1, exit_flag=EXIT_SMALL_TRUST_REGION,
-                   diagnostics={"iterations": 0, "n_restarts": 0})
+                   diagnostics={"iterations": 0, "n_restarts": 0, "eval_failures": {},
+                                "refactorizations": {}})

@@ -99,9 +99,7 @@ def _cauchy_step(descent):
     curv = hnorm.curv
     # curv > 1e-8 * upper implies curv > 1e-8 ||H||; only the other case
     # needs the exact norm, to decide the test or to bound the curvature.
-    if curv > 1e-8 * hnorm.upper and curv > 0.0:
-        t_opt = gnorm / curv
-    elif curv > 1e-8 * hnorm.exact() and curv > 0.0:
+    if curv > 0.0 and (curv > 1e-8 * hnorm.upper or curv > 1e-8 * hnorm.exact()):
         t_opt = gnorm / curv
     elif hnorm.exact() > 0.0:
         t_opt = gnorm / hnorm.exact()  # conservative curvature bound

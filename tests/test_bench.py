@@ -1,9 +1,11 @@
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from dfls.bench import (
+    WORKER_THREAD_VARS,
     DataProfile,
     RunRecord,
     data_profile,
@@ -13,9 +15,16 @@ from dfls.bench import (
     run_suite,
     tau_crit,
     tau_p,
+    _worker_pool,
 )
 from dfls.params import SolverParams
 from dfls.problems import NoiseModel, get_problem
+
+
+def _worker_threads(barrier):
+    """The worker's pid and thread variables, once two workers hold a task each."""
+    barrier.wait(timeout=60)
+    return os.getpid(), {var: os.environ.get(var) for var in WORKER_THREAD_VARS}
 
 
 def record(events, f0=10.0, f_star=0.0, n=2, m=3, kind="none", sigma=0.0, seed=0,
@@ -196,6 +205,26 @@ class TestRunSuite:
         records_to_csv(recs1, p1)
         records_to_csv(recs2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_parallel_runs_match_serial_with_blas_pinned(self, tmp_path, monkeypatch):
+        for var in WORKER_THREAD_VARS:
+            monkeypatch.setenv(var, "4")
+        args = (["rosenbrock", "bard"], NoiseModel("add_gaussian", 1e-2), [0], 50)
+        params = SolverParams(noisy=True)
+        serial = run_suite(*args, params=params)
+        parallel = run_suite(*args, params=params, jobs=2)
+        records_to_csv(serial, tmp_path / "serial.csv")
+        records_to_csv(parallel, tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+        assert ([(r.problem, r.n_evals, r.exit_flag) for r in serial]
+                == [(r.problem, r.n_evals, r.exit_flag) for r in parallel])
+        with multiprocessing.get_context("spawn").Manager() as manager, _worker_pool(2) as pool:
+            barrier = manager.Barrier(2)  # each of the two workers must take a task
+            reports = list(pool.map(_worker_threads, [barrier, barrier]))
+        assert len({pid for pid, _ in reports}) == 2
+        for _, env in reports:
+            assert env == dict.fromkeys(WORKER_THREAD_VARS, "1")
+        assert all(os.environ[var] == "4" for var in WORKER_THREAD_VARS)
 
     def test_records_round_trip_through_csv(self, tmp_path):
         from dfls.bench import records_from_csv

@@ -532,9 +532,13 @@ def scaled_matrix(points, base_index):
 
 
 def scratch_fit(iset):
-    """r, J, basis c and basis g from np.linalg.solve on the square system."""
+    """r, J, basis c and basis g from a from-scratch solve: LU if square, else lstsq."""
     W, alpha = scaled_matrix(iset.points, iset.base_index)
-    Z = np.linalg.solve(W, np.hstack([iset.values, np.eye(iset.npt)]))
+    rhs = np.hstack([iset.values, np.eye(iset.npt)])
+    if iset.npt == iset.n + 1:
+        Z = np.linalg.solve(W, rhs)
+    else:
+        Z = np.linalg.lstsq(W, rhs, rcond=None)[0]
     m = iset.m
     return (Z[0, :m], Z[1:, :m].T / alpha, Z[0, m:], Z[1:, m:].T / alpha), np.linalg.cond(W)
 
@@ -564,29 +568,46 @@ COND_CHECKED = 1e4
 
 class TestSquareInverseCache:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           ops=st.lists(st.sampled_from(["put", "far", "near", "tiny", "rebase", "base"]),
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data(),
+           ops=st.lists(st.sampled_from(["put", "far", "near", "tiny", "append",
+                                         "rebase", "base"]),
                         min_size=1, max_size=40))
-    def test_cached_path_matches_scratch_solve(self, n, seed, ops):
+    def test_cached_path_matches_scratch_solve(self, n, seed, data, ops):
+        # Square sets (p == n) and tall ones (n < p <= 5(n+1)) share the cache;
+        # an append turns a square set tall.
         rng = np.random.default_rng(seed)
         iset = square_set(n, rng)
+        max_npt = 5 * (n + 1) + 1
+        for _ in range(data.draw(st.integers(0, max_npt - iset.npt))):
+            y = rng.uniform(0.2, 1.0) * random_unit(rng, n)
+            iset.put(iset.npt, y, rng.standard_normal(3))
+        iset.rebase()
         cached_fit(iset)
         since = 0  # replacements since the last from-scratch factorization
         for op in ops:
             counts = dict(iset.refactorizations)
+            tall = iset.npt > n + 1
             xk = iset.base_point()
             radius = np.max(iset.distances_from(xk))
             t = int(rng.integers(iset.npt))
-            if op in ("put", "far", "near", "tiny"):
+            if op in ("put", "far", "near", "tiny", "append"):
+                if op == "append":
+                    if iset.npt == max_npt:
+                        continue
+                    t = iset.npt
                 if op == "tiny":  # |L_t(y)| below the update tolerance
                     y = point_with_lagrange_value(iset, t, 1e-2 * INVERSE_DENOM_TOL)
                 else:
                     if op == "near":  # shrink the radius: replace the furthest point
                         t = iset.furthest_index()
-                    scale = {"put": (0.2, 1.0), "far": (2.0, 5.0), "near": (0.01, 0.1)}[op]
+                    scale = {"put": (0.2, 1.0), "append": (0.2, 1.0), "far": (2.0, 5.0),
+                             "near": (0.01, 0.1)}[op]
                     y = xk + radius * rng.uniform(*scale) * random_unit(rng, n)
                 points = iset.points.copy()
-                points[t] = y
+                if t == iset.npt:
+                    points = np.vstack([points, y])
+                else:
+                    points[t] = y
                 W, alpha = scaled_matrix(points, iset.base_index)
                 if not alpha > 1e-4 or np.linalg.cond(W) > 1e8:
                     continue  # keep the sets nonsingular and wider than rounding
@@ -599,7 +620,13 @@ class TestSquareInverseCache:
             reference, cond = scratch_fit(iset)
             got = cached_fit(iset)
             fresh = sum(iset.refactorizations.values()) - sum(counts.values())
-            if op == "tiny":
+            if op == "append":
+                assert fresh == 1
+                assert iset.refactorizations["first"] == counts["first"] + 1
+            elif tall:  # every put refactorizes a tall set, and nothing else does
+                assert fresh == (op not in ("rebase", "base"))
+                assert iset.refactorizations["updates"] == counts["updates"] + fresh
+            elif op == "tiny":
                 assert fresh == 1
                 if since <= n + 1:
                     assert iset.refactorizations["denominator"] == counts["denominator"] + 1
@@ -655,8 +682,27 @@ class TestSquareInverseCache:
         iset.put(3, np.array([0.0, 0.0, 0.0]) + random_unit(rng, 3), rng.standard_normal(2))
         cached_fit(iset)
         iset.put(4, random_unit(rng, 3), rng.standard_normal(2))
-        fit_model_and_basis(iset)  # tall: regression, no cache read
-        assert iset.refactorizations["first"] == 1
+        cached_fit(iset)  # tall: a fresh factorization of the grown set
+        assert iset.refactorizations == {"first": 2, "updates": 0, "denominator": 0, "probe": 0}
+
+    def test_tall_fit_and_basis_share_one_factorization(self):
+        rng = np.random.default_rng(25)
+        iset = square_set(3, rng)
+        for t in range(4, 9):
+            iset.put(t, rng.uniform(0.2, 1.0) * random_unit(rng, 3), rng.standard_normal(3))
+        iset.rebase()
+        got = cached_fit(iset)
+        basis = lagrange_basis(iset)
+        iset.base_index = (iset.base_index + 1) % iset.npt  # mapped, not re-solved
+        moved = cached_fit(iset)
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 0, "probe": 0}
+        np.testing.assert_array_equal(basis.c, got[2])
+        np.testing.assert_array_equal(basis.g, got[3])
+        for a, b in zip(moved, scratch_fit(iset)[0]):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+        iset.put(2, iset.points[2] + 0.1 * random_unit(rng, 3), rng.standard_normal(3))
+        cached_fit(iset)
+        assert iset.refactorizations["updates"] == 1
 
     def test_square_build_linear_model_reads_the_cached_inverse(self):
         rng = np.random.default_rng(24)

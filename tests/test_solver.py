@@ -14,7 +14,7 @@ from dfls.params import (
     resolve_params,
 )
 from dfls.linalg import DegenerateSetError, random_unit
-from dfls.model import geometry_point, lagrange_basis
+from dfls.model import fit_model_and_basis, geometry_point, lagrange_basis
 from dfls.problems import NoiseModel, NoisyProblem, get_problem
 from dfls.solver import (
     EXIT_BUDGET,
@@ -226,15 +226,13 @@ class TestNoiseLevelTermination:
         def loop_reference(iset, cfg):
             fvals = iset.objective_values()
             fk = iset.base_objective()
-            thresholds = cfg.scale * cfg.level / np.sqrt(iset.sample_counts)
             for t in range(iset.npt):
                 if t == iset.base_index:
                     continue
+                threshold = cfg.scale * cfg.level / np.sqrt(iset.sample_counts[t])
                 if cfg.multiplicative and fk != 0.0:
-                    dev = abs(fvals[t] / fk)
-                else:
-                    dev = abs(fvals[t] - fk)
-                if dev > thresholds[t]:
+                    threshold *= abs(fk)
+                if abs(fvals[t] - fk) > threshold:
                     return False
             return True
 
@@ -270,9 +268,18 @@ class TestNoiseLevelTermination:
         assert check_noise_level_termination(self.make_set([0.0, 0.5, 0.9], [1, 1, 1]), cfg)
         assert not check_noise_level_termination(self.make_set([0.0, 1.5], [1, 1]), cfg)
 
+    def test_multiplicative_mode_fires_below_unit_level(self):
+        # Values within 1e-6 relative of the base sit within half their size.
+        rng = np.random.default_rng(14)
+        cfg = NoiseLevelConfig(level=0.5, multiplicative=True)
+        for _ in range(10_000):
+            npt = int(rng.integers(2, 6))
+            f = 10.0 ** rng.uniform(-8, 8) * (1.0 + rng.uniform(-1e-6, 1e-6, npt))
+            assert check_noise_level_termination(self.make_set(f, [1] * npt), cfg)
+
     def test_base_point_is_skipped(self):
-        # The base's own ratio, 1, exceeds its threshold 2 / sqrt(100) but
-        # does not count; the other point's 2.25 is within 2.5.
+        # The other point's |2.25 - 1| is within 2.5 * 1; the base (N = 100)
+        # is not compared.
         iset = self.make_set([1.0, 2.25], [100, 1])
         assert iset.base_index == 0
         cfg = NoiseLevelConfig(level=2.5, multiplicative=True)
@@ -384,6 +391,15 @@ class TestRestarts:
                        seed=0)
         assert result.exit_flag == EXIT_RESTARTS_EXHAUSTED
         assert result.diagnostics["n_restarts"] == 10
+
+    def test_refactorizations_add_up_over_hard_restarts(self):
+        loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.1, noisy=True))
+        for _ in range(3):
+            fit_model_and_basis(loop.iset)
+            loop._do_restart("hard")
+        fit_model_and_basis(loop.iset)
+        counts = loop._results(EXIT_BUDGET).diagnostics["refactorizations"]
+        assert counts == {"first": 4, "updates": 0, "denominator": 0, "probe": 0}
 
     def test_restart_resets_radii(self):
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.5, noisy=True))
@@ -581,6 +597,7 @@ class TestFixedVariables:
         np.testing.assert_array_equal(result.x, [0.5, 1.0])
         assert result.f == float(np.sum(rosen(np.array([0.5, 1.0])) ** 2))
         assert result.exit_flag == EXIT_SMALL_TRUST_REGION
+        assert result.diagnostics["eval_failures"] == {}
 
 
 class TestSolveBoundary:
@@ -694,6 +711,31 @@ class TestSolve:
                        params=SolverParams(max_evals=2000))
         assert np.isfinite(result.f)
         assert result.f < 1e-8
+
+    def test_evaluation_failures_are_counted_by_type(self):
+        def failing(fail):
+            def fun(x):
+                if -0.5 < x[0] < 0.0:  # a region where the residual fails
+                    return fail()
+                return rosen(x)
+            return fun
+
+        def divide():
+            raise ZeroDivisionError("division by zero")
+
+        params = SolverParams(max_evals=2000)
+        raised = solve(failing(divide), np.array([-1.2, 1.0]), seed=0, params=params)
+        nonfinite = solve(failing(lambda: np.array([np.inf, 0.0])), np.array([-1.2, 1.0]),
+                          seed=0, params=params)
+        count = raised.diagnostics["eval_failures"]["ZeroDivisionError"]
+        assert count > 0
+        assert raised.diagnostics["eval_failures"] == {"ZeroDivisionError": count}
+        assert nonfinite.diagnostics["eval_failures"] == {"nonfinite": count}
+        # Counting changes nothing: a raise and a non-finite value are both +inf.
+        assert np.array_equal(raised.x, nonfinite.x) and raised.f == nonfinite.f
+        assert (raised.n_evals, raised.exit_flag) == (nonfinite.n_evals, nonfinite.exit_flag)
+        clean = solve(rosen, np.array([-1.2, 1.0]), seed=0, params=params)
+        assert clean.diagnostics["eval_failures"] == {}
 
     def test_residual_length_change_at_a_step_raises(self):
         calls = {"n": 0}
