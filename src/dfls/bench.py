@@ -38,6 +38,7 @@ __all__ = [
     "tau_p",
     "data_profile",
     "run_suite",
+    "run_tasks",
     "records_to_csv",
     "records_from_csv",
     "profiles_to_csv",
@@ -221,10 +222,6 @@ class _Recorder:
             self.events.append((n_evals, self.best_true, self.best_noisy))
 
 
-def _solver_seed(seed, name):
-    return np.random.SeedSequence((int(seed), zlib.crc32(name.encode()), 0x5EED))
-
-
 def run_one(name, noise, seed, budget_mult, params=None):
     """One instrumented solver run; returns its RunRecord.
 
@@ -238,9 +235,9 @@ def run_one(name, noise, seed, budget_mult, params=None):
     params = replace(params, max_evals=budget)
     noisy_problem = NoisyProblem(prob, noise, seed=seed)
     recorder = _Recorder(noisy_problem)
-    rng = np.random.default_rng(_solver_seed(seed, name))
+    solver_seed = np.random.SeedSequence((int(seed), zlib.crc32(name.encode()), 0x5EED))
     result = solve(noisy_problem, prob.x0, bounds=prob.bounds, params=params,
-                   rng=rng, eval_hook=recorder)
+                   seed=solver_seed, eval_hook=recorder)
     events = recorder.events or [(1, np.inf, np.inf)]
     ev = np.asarray(events, dtype=float)
     return RunRecord(
@@ -269,22 +266,38 @@ def _worker_pool(jobs):
                 os.environ[var] = value
 
 
+def run_tasks(tasks, jobs=1):
+    """run_one's RunRecord, or the exception it raised, for each task in order.
+
+    A task (name, noise, seed, budget_mult, params) has its own noise and
+    solver streams, so results do not depend on scheduling; with jobs > 1 the
+    tasks share one worker pool (params must then avoid callable fields).
+    """
+    if jobs <= 1:
+        return list(map(_outcome, tasks))
+    with _worker_pool(jobs) as pool:
+        return list(pool.map(_outcome, tasks))
+
+
+def _outcome(task):
+    try:
+        return run_one(*task)
+    except Exception as exc:
+        return exc
+
+
 def run_suite(problem_names, noise, seeds, budget_mult, params=None, jobs=1):
     """Instrumented runs for every (problem, seed) pair, deterministically ordered.
 
-    Each pair gets its own noise stream and solver stream, so results do not
-    depend on scheduling; with jobs > 1 the pairs run in parallel processes
-    with BLAS pinned to one thread (params must then avoid callable fields).
+    The first exception a pair raised (in task order) is raised again.
     """
     tasks = [(name, noise, int(seed), budget_mult, params)
              for name in problem_names for seed in seeds]
-    if jobs > 1:
-        with _worker_pool(jobs) as pool:
-            records = list(pool.map(run_one, *zip(*tasks)))
-    else:
-        records = [run_one(*t) for t in tasks]
-    records.sort(key=lambda r: (r.problem, r.seed))
-    return records
+    outcomes = run_tasks(tasks, jobs)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return sorted(outcomes, key=lambda r: (r.problem, r.seed))
 
 
 def _fmt(x):

@@ -18,7 +18,7 @@ from .bench import (
     data_profile,
     profiles_to_csv,
     records_to_csv,
-    run_suite,
+    run_tasks,
     tau_crit,
 )
 from .params import RestartConfig, SolverParams
@@ -138,12 +138,14 @@ def cmd_bench(args):
         print("error: config selects no problems", file=sys.stderr)
         return 2
     try:
-        for name in problems:
-            get_problem(name)
+        params = {name: _build_params(config.get("solver"), get_problem(name).n, args)
+                  for name in problems}
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    except (TypeError, ValueError) as exc:
+        print(f"error: bad solver config: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.noise is not None:
             noise = _parse_noise(args.noise)
@@ -169,21 +171,14 @@ def cmd_bench(args):
     out_dir = args.out or "bench_out"
     os.makedirs(out_dir, exist_ok=True)
 
-    failures = []
-    records = []
-    try:
-        _build_params(config.get("solver"), get_problem(problems[0]).n, args)
-    except (TypeError, ValueError) as exc:
-        print(f"error: bad solver config: {exc}", file=sys.stderr)
-        return 2
-    for name in problems:
-        try:
-            recs = run_suite([name], noise, seeds, budget_mult,
-                             params=_build_params(config.get("solver"), get_problem(name).n, args),
-                             jobs=args.jobs)
-            records.extend(recs)
-        except Exception as exc:
-            failures.append({"problem": name, "error": str(exc)})
+    tasks = [(name, noise, seed, budget_mult, params[name])
+             for name in problems for seed in seeds]
+    records, failures = [], []
+    for (name, _, seed, _, _), outcome in zip(tasks, run_tasks(tasks, args.jobs)):
+        if isinstance(outcome, Exception):
+            failures.append({"problem": name, "seed": seed, "error": str(outcome)})
+        else:
+            records.append(outcome)
     if not records:
         print("error: no records produced", file=sys.stderr)
         return 2

@@ -433,7 +433,9 @@ def _bound_vector(bound, n, fill):
     if bound is None:
         return np.full(n, fill)
     bound = np.array(bound, dtype=float)
-    return bound if bound.shape == (n,) else np.broadcast_to(bound, (n,)).copy()
+    if bound.shape not in ((), (n,)):
+        raise ValueError(f"bounds must be scalars or length-{n} vectors, got shape {bound.shape}")
+    return bound if bound.ndim else np.full(n, bound)
 
 
 def geometry_point(basis, t, center, delta, bounds=None, rng=None):

@@ -12,6 +12,7 @@ with optional stagnation auto-detection.
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +63,7 @@ EXIT_RESTARTS_EXHAUSTED = "restarts_exhausted"
 # Treat the model decrease as numerically zero below this relative level.
 _PRED_DECREASE_TOL = 1e-15
 _MAX_CONSECUTIVE_FAILURES = 50
+_START_FAILED = "objective evaluation failed at the starting point"
 
 
 @dataclass
@@ -181,8 +183,13 @@ def apply_variable_scaling(residual, x0, lower, upper):
     of the scaled problem is [0, 1]^n. Requires finite bounds with positive
     width in every coordinate.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    to_original, to_unit = _unit_cube_maps(lower, upper)
+    return (lambda u: residual(to_original(u))), to_unit(x0), to_original, to_unit
+
+
+def _unit_cube_maps(lower, upper):
+    """(to_original, to_unit) between a finite box of positive widths and [0, 1]^n."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("variable scaling requires finite bounds")
     span = upper - lower
@@ -195,29 +202,15 @@ def apply_variable_scaling(residual, x0, lower, upper):
     def to_unit(x):
         return (np.asarray(x, dtype=float) - lower) / span
 
-    def scaled_residual(u):
-        return residual(to_original(u))
-
-    return scaled_residual, to_unit(x0), to_original, to_unit
+    return to_original, to_unit
 
 
-def _fix_variables(residual, x, free):
-    """Restrict a residual to the free coordinates of x; the others stay fixed.
-
-    Returns (free_residual, to_full): free_residual takes the free
-    coordinates only, and to_full puts them back among the fixed values.
-    """
-    x = np.array(x, dtype=float)
-
-    def to_full(z):
-        out = x.copy()
-        out[free] = z
-        return out
-
-    def free_residual(z):
-        return residual(to_full(z))
-
-    return free_residual, to_full
+def _with_fixed(x, free, to_original, z):
+    """The caller's point for solver point z: x with its free coordinates set to z
+    (mapped through to_original when the free coordinates are scaled)."""
+    out = x.copy()
+    out[free] = z if to_original is None else to_original(z)
+    return out
 
 
 def _residual_array(value):
@@ -229,10 +222,16 @@ def _residual_array(value):
 
 
 class _Loop:
-    """State and phases of one solver run (single-threaded, owns all state)."""
+    """State and phases of one solver run (single-threaded, owns all state).
 
-    def __init__(self, fun, x0, lower, upper, params, rng, eval_hook, record_trace):
+    to_caller maps solver points to the caller's coordinates where they are
+    evaluated; None when the two coincide.
+    """
+
+    def __init__(self, fun, x0, lower, upper, params, rng, eval_hook, record_trace,
+                 to_caller=None):
         self.fun = fun
+        self.to_caller = to_caller
         self.x0 = np.asarray(x0, dtype=float)
         self.n = self.x0.size
         self.lower = lower
@@ -261,6 +260,7 @@ class _Loop:
         self.success_f = []        # objective at successful iterations
         self.trace = [] if record_trace else None
         self.eval_failures = Counter()
+        self.last_error = None     # the latest exception an evaluation raised
 
     # -- evaluation ---------------------------------------------------------
 
@@ -271,6 +271,7 @@ class _Loop:
         except Exception as exc:
             logger.debug("objective evaluation raised; treating value as +inf", exc_info=True)
             self.eval_failures[type(exc).__name__] += 1
+            self.last_error = exc
             return None
         r = _residual_array(value)
         if not np.all(np.isfinite(r)):
@@ -285,23 +286,20 @@ class _Loop:
         Raises _OutOfBudget before evaluating when no budget remains; N is
         truncated to the remaining budget otherwise.
         """
+        if self.to_caller is not None:
+            x = self.to_caller(x)
         remaining = self.p.max_evals - self.n_evals
         if remaining <= 0:
             raise _OutOfBudget()
         n_req = max(1, int(self.nsamples(self.rho, self.delta, self.k_local, self.n_restarts)))
         n_use = min(n_req, remaining)
-        rbar = None
+        self.n_evals += n_use
         batch = getattr(self.fun, "sample_mean", None) if n_use > 1 else None
         if batch is not None:
-            self.n_evals += n_use
             rbar = self._eval_once(batch, x, n_use)
         else:
-            samples = []
-            for _ in range(n_use):
-                self.n_evals += 1
-                samples.append(self._eval_once(self.fun, x))
-            if all(r is not None for r in samples):
-                rbar = sum(samples[1:], samples[0]) / n_use
+            samples = [self._eval_once(self.fun, x) for _ in range(n_use)]
+            rbar = None if any(r is None for r in samples) else sum(samples[1:], samples[0]) / n_use
         if rbar is None:
             self.consecutive_failures += 1
             if self.consecutive_failures > _MAX_CONSECUTIVE_FAILURES:
@@ -358,7 +356,7 @@ class _Loop:
                                       (self.lower, self.upper), self.rng)
         rbar, fbar, nsamp = self.evaluate_averaged(self.iset.points[0])
         if rbar is None:
-            raise RuntimeError("objective evaluation failed at the starting point")
+            raise RuntimeError(_START_FAILED) from self.last_error
         self.iset.set_value(0, rbar, nsamp)
         self.f0_observed = fbar
         self._fill_initial_values(self.iset)
@@ -673,40 +671,48 @@ class _Loop:
         }
         if self.trace is not None:
             diagnostics["trace"] = self.trace
-        return Results(x=self.best_x if self.best_x is not None else self.x0.copy(),
-                       f=self.best_f, n_evals=self.n_evals,
-                       exit_flag=exit_flag, diagnostics=diagnostics)
+        x0 = self.x0 if self.to_caller is None else self.to_caller(self.x0)
+        return Results(x=self.best_x if self.best_x is not None else x0.copy(), f=self.best_f,
+                       n_evals=self.n_evals, exit_flag=exit_flag, diagnostics=diagnostics)
 
 
-def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
-          eval_hook=None, record_trace=False):
+def solve(residuals, x0, bounds=None, params=None, seed=None, eval_hook=None,
+          record_trace=False):
     """Minimize ||residuals(x)||^2 over an optional box, derivative-free.
 
     Parameters
     ----------
     residuals : callable mapping a point in R^n to a 1-D residual vector in R^m.
-    x0 : finite starting point (clipped into the bounds if needed).
-    bounds : optional (lower, upper) pair of vectors or scalars; a None side
-        is unbounded, and a NaN bound raises a ValueError. Variables
-        with lower == upper are fixed: the solver works in the free
-        coordinates only, and when every variable is fixed it evaluates x0
-        once and returns with exit flag "small_trust_region".
+    x0 : finite, non-empty 1-D starting point (clipped into the bounds if
+        needed); any other x0 is a ValueError that names x0.
+    bounds : optional (lower, upper) pair; each side is None (unbounded), a
+        scalar or a vector of x0's length; any other length, or a NaN, is a
+        ValueError that names bounds.
+        Variables with lower == upper are fixed: the solver works in the
+        free coordinates only, and when every variable is fixed it evaluates
+        x0 once and returns with exit flag "small_trust_region".
     params : SolverParams; omitted fields get smooth or noisy defaults.
-    seed, rng : seed the solver's random stream (ignored when rng is given).
+    seed : None, an int, a SeedSequence or a Generator (used as is) for the
+        solver's random stream, through np.random.default_rng.
     eval_hook : optional callable (n_evals, x, f_observed, n_samples) invoked
-        after every averaged evaluation, with x in original coordinates.
+        after every averaged evaluation.
     record_trace : keep a per-iteration trace in Results.diagnostics.
+
+    Fixed and scaled variables are mapped back where residuals are evaluated,
+    so residuals (and its sample_mean), eval_hook and Results.x all see the
+    caller's coordinates. A residual failing at x0 raises a RuntimeError
+    chained from the residual's exception, if it raised one.
 
     Returns a Results with the best point evaluated (across restarts), its
     observed objective value, the evaluation count and the exit flag.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"x0 must be a non-empty 1-D array, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0}")
     if params is None:
         params = SolverParams()
-    if rng is None:
-        rng = np.random.default_rng(seed)
 
     lower, upper = _bounds_arrays(bounds, x0.size)
     if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
@@ -715,50 +721,37 @@ def solve(residuals, x0, bounds=None, params=None, seed=None, rng=None,
         raise ValueError("lower bound exceeds upper bound")
     x0 = np.clip(x0, lower, upper)
 
-    maps = []  # solver coordinates -> caller coordinates, innermost first
-    fun = residuals
     free = lower < upper
-    if not np.all(free):
-        if not np.any(free):
-            return _evaluate_fixed_point(residuals, x0, eval_hook)
-        fun, to_full = _fix_variables(residuals, x0, free)
-        x0, lower, upper = x0[free], lower[free], upper[free]
-        maps.append(to_full)
-    n = x0.size
+    if not np.any(free):
+        return _evaluate_fixed_point(residuals, x0, eval_hook)
+    x_caller, x0, lower, upper = x0, x0[free], lower[free], upper[free]
+    to_caller = None  # solver -> caller coordinates, applied where residuals are evaluated
     if params.scale_variables:
-        fun, x0, to_original, _ = apply_variable_scaling(fun, x0, lower, upper)
-        lower = np.zeros(n)
-        upper = np.ones(n)
-        maps.insert(0, to_original)
+        to_caller, to_unit = _unit_cube_maps(lower, upper)
+        x0, lower, upper = to_unit(x0), np.zeros(x0.size), np.ones(x0.size)
+    if not np.all(free):
+        to_caller = partial(_with_fixed, x_caller, free, to_caller)
 
-    def to_caller(z):
-        for to_outer in maps:
-            z = to_outer(z)
-        return z
-
-    if eval_hook is not None and maps:
-        inner_hook = eval_hook
-
-        def eval_hook(n_evals, z, fbar, nsamp):
-            inner_hook(n_evals, to_caller(z), fbar, nsamp)
-
-    rp = resolve_params(params, n, float(np.max(np.abs(x0))) if n else 1.0,
-                        box_width=float(np.min(upper - lower, initial=np.inf)))
-    loop = _Loop(fun, x0, lower, upper, rp, rng, eval_hook, record_trace)
+    rp = resolve_params(params, x0.size, float(np.max(np.abs(x0))),
+                        box_width=float(np.min(upper - lower)))
+    loop = _Loop(residuals, x0, lower, upper, rp, np.random.default_rng(seed), eval_hook,
+                 record_trace, to_caller)
     # Overflowing models and +inf objective values are handled by rejection,
     # not exceptions, so the numpy warnings carry no information here.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        results = loop.run()
-    results.x = to_caller(results.x)
-    return results
+        return loop.run()
 
 
 def _evaluate_fixed_point(residuals, x, eval_hook):
     """Every variable is fixed (lower == upper): one evaluation is the solve."""
-    r = _residual_array(residuals(x))
+    try:
+        value = residuals(x)
+    except Exception as exc:
+        raise RuntimeError(_START_FAILED) from exc
+    r = _residual_array(value)
     f = float(r @ r)
     if not np.isfinite(f):
-        raise RuntimeError("objective evaluation failed at the starting point")
+        raise RuntimeError(_START_FAILED)
     if eval_hook is not None:
         eval_hook(1, x.copy(), f, 1)
     return Results(x=x, f=f, n_evals=1, exit_flag=EXIT_SMALL_TRUST_REGION,

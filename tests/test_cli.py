@@ -109,6 +109,43 @@ class TestBenchCommand:
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "profiles.csv").read_bytes() == (out2 / "profiles.csv").read_bytes()
 
+    def test_parallel_records_match_serial(self, tmp_path):
+        cfg = self.config(tmp_path, problems=["rosenbrock", "bard", "box_3d", "osborne1"],
+                          seeds=1, budget_multiplier=20)
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / ("jobs" + jobs)
+            proc = run_cli("bench", str(cfg), "--out", str(outs[jobs]), "--seed", "0",
+                           "--jobs", jobs)
+            assert proc.returncode == 0, proc.stderr
+        assert (outs["1"] / "records.csv").read_bytes() == (outs["2"] / "records.csv").read_bytes()
+
+    def test_a_raising_task_is_listed_with_its_seed_and_the_others_run(self, tmp_path,
+                                                                       monkeypatch):
+        from dfls import bench, cli
+
+        real_run_one = bench.run_one
+
+        def run_one(name, noise, seed, budget_mult, params=None):
+            if (name, seed) == ("rosenbrock", 1):
+                raise FloatingPointError("overflow")
+            return real_run_one(name, noise, seed, budget_mult, params)
+
+        monkeypatch.setattr(bench, "run_one", run_one)
+        out = tmp_path / "out"
+        assert cli.main(["bench", str(self.config(tmp_path)), "--out", str(out),
+                         "--seed", "0"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"problem": "rosenbrock", "seed": 1,
+                                        "error": "overflow"}]
+        assert sorted(summary["exit_flags"]) == ["bard:0", "bard:1", "rosenbrock:0"]
+
+    def test_bad_solver_block_is_usage_error(self, tmp_path):
+        cfg = self.config(tmp_path, solver={"noisy": True, "no_such_field": 1})
+        proc = run_cli("bench", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "bad solver config" in proc.stderr
+
     def test_solver_flags_change_records(self, tmp_path):
         cfg = self.config(tmp_path)
 

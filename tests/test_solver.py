@@ -1,5 +1,6 @@
 import copy
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -599,6 +600,43 @@ class TestFixedVariables:
         assert result.exit_flag == EXIT_SMALL_TRUST_REGION
         assert result.diagnostics["eval_failures"] == {}
 
+    def test_a_residual_raising_at_x0_fails_alike_with_every_variable_fixed_or_not(self):
+        def residual(x):
+            return np.array([1.0 / float(x[0]), x[1]])
+
+        for bounds in (([0.0, 0.0], [0.0, 0.0]), ([0.0, -1.0], [0.0, 1.0])):
+            with pytest.raises(RuntimeError, match="failed at the starting point") as info:
+                solve(residual, np.zeros(2), bounds=bounds, seed=0)
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_noisy_residual_sees_caller_points_and_batches_its_samples(self):
+        # The caller map is applied where residuals are evaluated, so the
+        # noisy problem's sample_mean serves a fixed variable too: one clean
+        # residual per evaluated point, however many samples are averaged.
+        prob = get_problem("osborne1")
+        clean, seen = [], []
+
+        def counted(x):
+            clean.append(x.copy())
+            return prob.residual(x)
+
+        noisy = NoisyProblem(replace(prob, residual=counted), NoiseModel("mult_gaussian", 1e-2))
+        for width, scale in ((np.inf, False), (1.0, True)):
+            lower, upper = prob.x0 - width, prob.x0 + width
+            lower[2] = upper[2] = prob.x0[2]
+            clean.clear()
+            seen.clear()
+            result = solve(noisy, prob.x0, bounds=(lower, upper), seed=0,
+                           params=SolverParams(noisy=True, nsamples="const:5", max_evals=400,
+                                               scale_variables=scale),
+                           eval_hook=lambda k, x, f, n: seen.append((x.copy(), n)))
+            assert result.n_evals == 400 and len(seen) == 80
+            assert all(n == 5 for _, n in seen)
+            assert len(clean) == 80
+            assert all(np.array_equal(x, y) for x, (y, _) in zip(clean, seen))
+            assert all(x[2] == prob.x0[2] for x in clean)
+            assert any(np.array_equal(result.x, x) for x, _ in seen)
+
 
 class TestSolveBoundary:
     def test_nonfinite_x0_raises(self):
@@ -627,6 +665,17 @@ class TestSolveBoundary:
         # x0 is clipped onto x[0] = 0.5; the minimizer [1, 1] stays feasible.
         result = solve(rosen, np.array([-1.2, 1.0]), bounds=([0.5, -2.0], None), seed=0)
         assert result.f < 1e-10 and np.all(result.x >= [0.5, -2.0])
+
+    def test_empty_or_not_one_dimensional_x0_raises(self):
+        for bad in (np.array([]), np.zeros((2, 1)), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"x0 must be a non-empty 1-D array, "
+                                                           f"got shape {bad.shape}")):
+                solve(rosen, bad)
+
+    def test_bound_of_another_length_raises(self):
+        for bounds in (([-2.0, -2.0, -2.0], 2.0), (-2.0, [2.0]), (None, np.full((2, 1), 2.0))):
+            with pytest.raises(ValueError, match="bounds must be scalars or length-2 vectors"):
+                solve(rosen, np.array([-1.2, 1.0]), bounds=bounds)
 
     def test_nan_bound_raises(self):
         for bounds in (([np.nan, -2.0], [2.0, 2.0]), (-2.0, [2.0, np.nan]), (np.nan, None)):
