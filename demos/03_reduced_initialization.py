@@ -3,8 +3,8 @@
 A model-based solver normally spends n+1 evaluations building its first
 model. When evaluations are expensive that start-up cost hurts, so the
 solver can begin from as few as 2 points: it interpolates with the
-minimal-norm model, repairs the rank-deficient Jacobian through its SVD, and
-grows the set by one point per iteration until the model is full.
+minimal-norm model, repairs the rank-deficient Jacobian by raising its
+missing singular values to its smallest one, and grows the set by one point per iteration until the model is full.
 """
 
 import numpy as np

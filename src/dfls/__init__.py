@@ -23,6 +23,7 @@ from .model import (
     InterpolationSet,
     LagrangeBasis,
     LinearResidualModel,
+    MinNormModel,
     build_initial_set,
     build_linear_model,
     full_model,

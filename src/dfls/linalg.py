@@ -23,7 +23,8 @@ __all__ = [
 
 logger = logging.getLogger("dfls")
 
-# Relative threshold below which a singular value counts as zero.
+# Relative threshold below which a singular value (or, for the min-norm QR, a
+# diagonal entry of R) counts as zero.
 RANK_TOL = 1e-12
 
 LinearFit = namedtuple("LinearFit", ["slope", "correlation"])
@@ -31,15 +32,6 @@ LinearFit = namedtuple("LinearFit", ["slope", "correlation"])
 
 class DegenerateSetError(Exception):
     """Raised when an interpolation system is numerically rank-deficient."""
-
-
-def _full_rank_lstsq(W, B):
-    """lstsq(W, B); DegenerateSetError unless W has full rank min(W.shape)."""
-    Z, _, rank, _ = np.linalg.lstsq(np.asarray(W, dtype=float), np.asarray(B, dtype=float),
-                                    rcond=RANK_TOL)
-    if rank < min(np.shape(W)):
-        raise DegenerateSetError("degenerate interpolation set")
-    return Z
 
 
 def solve_regression(W, B):
@@ -54,42 +46,69 @@ def solve_regression(W, B):
     """
     if np.shape(W)[0] < np.shape(W)[1]:
         raise ValueError("system is underdetermined; use solve_min_norm")
-    return _full_rank_lstsq(W, B)
+    Z, _, rank, _ = np.linalg.lstsq(np.asarray(W, dtype=float), np.asarray(B, dtype=float),
+                                    rcond=RANK_TOL)
+    if rank < np.shape(W)[1]:
+        raise DegenerateSetError("degenerate interpolation set")
+    return Z
 
 
 def solve_min_norm(W, B):
-    """Minimal Euclidean-norm solution of the underdetermined system W z = B.
+    """Minimal Euclidean-norm solution of the underdetermined system W z = B, in factors.
 
-    W is (p+1) x (n+1) with p < n and must have full row rank. Each output
-    column satisfies W z = b exactly and lies in the row space of W.
+    W is q x N with q <= N and must have full row rank; B is (q,) or (q, m).
+    Returns (Q, Y) from one complete Householder QR W^T = Q [R; 0]: Q is the
+    N x N orthogonal factor and Y = R^{-T} B. The solution is z = Q[:, :q] Y,
+    which satisfies W z = B exactly and lies in the row space of W; Q[:, q:]
+    spans the null space of W.
+
+    Raises DegenerateSetError when a diagonal entry of R is at most RANK_TOL
+    times the largest one (R is singular exactly when one is zero).
     """
-    if np.shape(W)[0] > np.shape(W)[1]:
+    W = np.asarray(W, dtype=float)
+    if W.shape[0] > W.shape[1]:
         raise ValueError("system is overdetermined; use solve_regression")
-    return _full_rank_lstsq(W, B)
+    Q, R = np.linalg.qr(W.T, mode="complete")
+    q = W.shape[0]
+    d = np.abs(np.diag(R))
+    if not d.min() > RANK_TOL * d.max():
+        raise DegenerateSetError("degenerate interpolation set")
+    return Q, np.linalg.inv(R[:q]).T @ B
 
 
-def clamp_singular_values(J, p):
-    """Raise the trailing singular values of a rank-p matrix to sigma_p.
+def clamp_singular_values(C, r, k):
+    """Rank repair of a rank-p Jacobian J = C Q^T, Q (n x p) with orthonormal columns.
 
-    Returns a matrix with the same leading p singular triplets as J but whose
-    singular values p+1.. are raised to the level of sigma_p, so the result
-    has full rank. If sigma_p itself is (numerically) zero the clamped
-    directions are set to 1.0 instead, and a diagnostic is logged.
+    Returns (level, gram, y) from one Householder QR [C, r] = Q_C R in LAPACK's
+    raw form: gram = C^T C (as R_C^T R_C), level = sigma_p, the smallest
+    singular value of C (those of its p x p factor R_C), and y = U^T r, U the
+    k complement columns p.. of the complete Householder Q of C. For N (n x k)
+    with orthonormal columns orthogonal to Q, J + level U N^T keeps the singular
+    triplets of J and has k more singular values equal to level, so it has rank
+    p + k; its gradient and Gauss-Newton Hessian are Q C^T r + level N y and
+    Q gram Q^T + level^2 N N^T. If sigma_p is below RANK_TOL sigma_1 the level
+    is 1.0 instead, and a diagnostic is logged.
 
-    Idempotent: applying the repair twice gives the same matrix.
+    C is m x p with 1 <= k <= m - p.
     """
-    J = np.asarray(J, dtype=float)
-    m, n = J.shape
-    if not 1 <= p < n:
-        raise ValueError("need 1 <= p < n")
-    U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
-    level = sigma[p - 1] if p <= len(sigma) else 0.0
+    C = np.asarray(C, dtype=float)
+    m, p = C.shape
+    if not 1 <= k <= m - p:
+        raise ValueError("need 1 <= k <= m - p")
+    h, tau = np.linalg.qr(np.column_stack([C, r]), mode="raw")
+    h = h.T  # R on and above the diagonal, reflectors below it
+    Rc = np.triu(h[:p, :p])
+    sigma = np.linalg.svd(Rc, compute_uv=False)
+    level = float(sigma[-1])
     if level < RANK_TOL * max(sigma[0], 1e-300):
         level = 1.0
-        logger.warning("rank repair fallback: leading singular value below tolerance")
-    sigma = sigma.copy()
-    sigma[p:] = np.maximum(sigma[p:], level)
-    return (U * sigma) @ Vt
+        logger.warning("rank repair fallback: smallest singular value below tolerance")
+    # Column p's reflector I - tau v v^T (v_0 = 1) maps w = (Q_C^T r)[p:] to
+    # beta e_1; it is its own inverse, so w = beta (e_1 - tau v).
+    beta, t = h[p, p], tau[p]
+    y = -beta * t * h[p:p + k, p]
+    y[0] = beta * (1.0 - t)
+    return level, Rc.T @ Rc, y
 
 
 def linear_fit(points):

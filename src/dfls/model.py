@@ -9,6 +9,7 @@ of the set and the geometry-improvement machinery all live here.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import (
 __all__ = [
     "InterpolationSet",
     "LinearResidualModel",
+    "MinNormModel",
     "FullModel",
     "LagrangeBasis",
     "build_initial_set",
@@ -245,6 +247,49 @@ class LinearResidualModel:
     J: np.ndarray          # (m, n)
     alpha: float           # max distance of set points from the base
 
+    def gauss_newton(self):
+        """(J^T r, J^T J)."""
+        return self.J.T @ self.r, self.J.T @ self.J
+
+
+@dataclass
+class MinNormModel:
+    """Linear residual model of a growing set (p < n), its Jacobian in factors.
+
+    J = C Q_p^T + level U N^T: Q = [Q_p, N, ...] is the complete orthogonal
+    factor of the displacements' QR (Q_p spans them), U the k = y.size
+    complement columns of C's Householder QR, and y = U^T r (k = 0 without a
+    rank repair). gauss_newton() never forms J; reading J does, once.
+    """
+
+    r: np.ndarray          # (m,)
+    alpha: float           # max distance of set points from the base
+    Q: np.ndarray          # (n, n)
+    C: np.ndarray          # (m, p)
+    gram: np.ndarray       # C^T C
+    level: float
+    y: np.ndarray          # (k,)
+
+    @cached_property
+    def J(self):
+        p, k = self.C.shape[1], self.y.size
+        J = self.C @ self.Q[:, :p].T
+        if k:
+            U = np.linalg.qr(self.C, mode="complete")[0][:, p:p + k]
+            J += self.level * (U @ self.Q[:, p:p + k].T)
+        return J
+
+    def gauss_newton(self):
+        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T)."""
+        p, k = self.C.shape[1], self.y.size
+        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
+        Jtr = Qp @ (self.C.T @ self.r)
+        JtJ = (Qp @ self.gram) @ Qp.T
+        if k:
+            Jtr += self.level * (N @ self.y)
+            JtJ += self.level ** 2 * (N @ N.T)
+        return Jtr, JtJ
+
 
 @dataclass
 class FullModel:
@@ -349,7 +394,8 @@ def set_radius(iset):
 def build_linear_model(iset, repair_rank=True):
     """Fit the linear residual model to the current set: fit_model_and_basis's model.
 
-    Raises ValueError when a point of the set has not been evaluated.
+    A growing set's Jacobian is formed when its J is first read. Raises
+    ValueError when a point of the set has not been evaluated.
     """
     if iset.values is None or np.any(np.isnan(iset.values)):
         raise ValueError("interpolation set has unevaluated points")
@@ -358,9 +404,8 @@ def build_linear_model(iset, repair_rank=True):
 
 def full_model(lm):
     """Quadratic objective model ||r + J s||^2 from a linear residual model."""
-    g = 2.0 * (lm.J.T @ lm.r)
-    H = 2.0 * (lm.J.T @ lm.J)
-    return FullModel(c=float(lm.r @ lm.r), g=g, H=H)
+    Jtr, JtJ = lm.gauss_newton()
+    return FullModel(c=float(lm.r @ lm.r), g=2.0 * Jtr, H=2.0 * JtJ)
 
 
 def _solve_interpolation(iset):
@@ -383,30 +428,33 @@ def fit_model_and_basis(iset, repair_rank=True):
 
     With p >= n points beyond the base the model is the regression fit
     W^+ values, and the basis the columns of the same cached W^+. With p < n
-    the basis is None and the model is the exact interpolant minimizing
-    ||r||^2 + alpha ||J||_F^2, whose Jacobian has rank p and is then made
-    full-rank by raising its trailing singular values (unless repair_rank is
-    false, for the perturbed-step growing variant). r and J are not tested for
-    finiteness here; a non-finite one shows in full_model's g or H.
+    the basis is None and the model a MinNormModel: interpolation at the base
+    pins r to the base value, and J is the minimal-Frobenius-norm solution of
+    D J^T = dV, D the p x n displacements from the base and dV the value
+    differences. Its rank p is then repaired (unless repair_rank is false, for
+    the perturbed-step growing variant) by raising min(n, m) - p more singular
+    values to sigma_p along the complements of the two QRs. r and J are not
+    tested for finiteness here; a non-finite one shows in full_model's g or H.
     """
     p = iset.npt - 1
-    if p < iset.n:
-        alpha = set_radius(iset)
-        if alpha <= 0.0:
-            raise DegenerateSetError("degenerate interpolation set")
-        # Column scaling by sqrt(alpha) makes the minimal-norm objective
-        # exactly ||r||^2 + alpha ||J||_F^2.
-        scale = np.sqrt(alpha)
-        Zm = solve_min_norm(_interp_matrix(iset, scale), iset.values)
-        basis = None
-        J = Zm[1:].T / scale
-        if repair_rank:
-            J = clamp_singular_values(J, p)
-    else:
+    if p >= iset.n:
         Z, basis, alpha = _solve_interpolation(iset)
         Zm = Z @ iset.values
-        J = Zm[1:].T / alpha
-    return LinearResidualModel(r=Zm[0].copy(), J=J, alpha=alpha), basis
+        return LinearResidualModel(r=Zm[0].copy(), J=Zm[1:].T / alpha, alpha=alpha), basis
+    alpha = set_radius(iset)
+    if alpha <= 0.0:
+        raise DegenerateSetError("degenerate interpolation set")
+    b = iset.base_index
+    r = iset.base_value().copy()
+    D = np.delete(iset.points, b, axis=0) - iset.base_point()
+    Q, Y = solve_min_norm(D, np.delete(iset.values, b, axis=0) - r)
+    C = Y.T
+    k = min(iset.n, r.size) - p if repair_rank else 0
+    if k > 0:
+        level, gram, y = clamp_singular_values(C, r, k)
+    else:
+        level, gram, y = 0.0, C.T @ C, np.empty(0)
+    return MinNormModel(r, alpha, Q, C, gram, level, y), None
 
 
 def poisedness_estimate(iset, center, delta):

@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 RESTART_KINDS = ("hard", "soft_moving", "soft_fixed")
+# "svd" is the singular-value rank repair of the growing Jacobian (computed
+# from QRs, see model.fit_model_and_basis); "perturb" perturbs steps instead.
 GROWING_MODES = ("svd", "perturb")
 MULTI_MOVE_MECHANISMS = ("nothing", "geometry", "momentum")
 

@@ -241,6 +241,8 @@ class _Loop:
         self.eval_hook = eval_hook
 
         self.nsamples = nsamples_policy(params.nsamples)
+        # Only the restart autodetection reads the Jacobian history.
+        self.autodetect = params.noisy and params.restarts.enabled and params.restarts.autodetect
         self.delta = params.delta0
         self.rho = params.delta0
         self.iset = None
@@ -561,6 +563,11 @@ class _Loop:
         iset = self.iset
 
         f_base = iset.base_objective()
+        if self.trace is not None:
+            # One entry per iteration, taken before anything in it moves.
+            self.trace.append({"iter": self.iter_count, "delta": self.delta,
+                               "rho": self.rho, "f": f_base, "n_evals": self.n_evals,
+                               "npt": iset.npt})
         if self._small_objective(f_base):
             raise _Terminate(EXIT_SMALL_OBJECTIVE)
 
@@ -582,16 +589,12 @@ class _Loop:
         if not (np.all(np.isfinite(fm.g)) and np.all(np.isfinite(fm.H))):
             self._repair_degenerate()
             return
-        self._record_jacobian(lm.J)
+        if self.autodetect:
+            self._record_jacobian(lm.J)
 
         xk = iset.base_point()
         s = solve_trust_region(fm, self.delta, self.lower - xk, self.upper - xk)
         step_norm = float(np.sqrt(s @ s))
-
-        if self.trace is not None:
-            self.trace.append({"iter": self.iter_count, "delta": self.delta,
-                               "rho": self.rho, "f": f_base, "n_evals": self.n_evals,
-                               "npt": iset.npt})
 
         if step_norm < p.gamma_safety * self.rho:
             self._safety_phase(growing)
@@ -638,8 +641,8 @@ class _Loop:
                 self._request_restart(EXIT_SLOW_PROGRESS)
             return
 
-        if (p.noisy and p.restarts.enabled and p.restarts.autodetect
-                and auto_detect_restart(self.radius_events, self.jac_history, p.restarts)):
+        if self.autodetect and auto_detect_restart(self.radius_events, self.jac_history,
+                                                   p.restarts):
             self._request_restart(EXIT_SLOW_PROGRESS)
             return
 

@@ -54,24 +54,30 @@ class TestSolveRegression:
             assert lhs <= 1e-8 * max(np.linalg.norm(W.T @ b), 1e-12)
 
 
+def min_norm(W, B):
+    """The solution z = Q[:, :q] Y that solve_min_norm returns in factors."""
+    Q, Y = solve_min_norm(W, B)
+    return Q[:, :np.shape(W)[0]] @ Y
+
+
 class TestSolveMinNorm:
     def test_forced_component_is_zero(self):
         # One off-base point along e1: the e2 model component must vanish.
         W = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        z = solve_min_norm(W, np.array([0.0, 1.0]))
+        z = min_norm(W, np.array([0.0, 1.0]))
         np.testing.assert_allclose(z, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_zero_rhs_gives_zero(self):
         rng = np.random.default_rng(3)
         W = rng.standard_normal((2, 5))
-        z = solve_min_norm(W, np.zeros(2))
+        z = min_norm(W, np.zeros(2))
         np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
     def test_matches_pseudoinverse_oracle(self):
         rng = np.random.default_rng(4)
         W = rng.standard_normal((3, 7))
         b = rng.standard_normal(3)
-        z = solve_min_norm(W, b)
+        z = min_norm(W, b)
         oracle = W.T @ np.linalg.inv(W @ W.T) @ b
         np.testing.assert_allclose(z, oracle, atol=1e-9)
 
@@ -87,15 +93,39 @@ class TestSolveMinNorm:
             n1 = rng.integers(p1 + 1, p1 + 6)
             W = rng.standard_normal((p1, n1))
             b = rng.standard_normal(p1)
-            z = solve_min_norm(W, b)
+            z = min_norm(W, b)
             proj = W.T @ np.linalg.inv(W @ W.T) @ (W @ z)
             assert np.linalg.norm(z - proj) <= 1e-8 * max(np.linalg.norm(z), 1e-12)
+
+    def test_complement_columns_span_the_null_space(self):
+        rng = np.random.default_rng(12)
+        W = rng.standard_normal((3, 7))
+        Q, Y = solve_min_norm(W, rng.standard_normal((3, 2)))
+        np.testing.assert_allclose(Q.T @ Q, np.eye(7), atol=1e-12)
+        np.testing.assert_allclose(W @ Q[:, 3:], 0.0, atol=1e-12)
+        assert Y.shape == (3, 2)
+
+
+def repaired(C, r, Q):
+    """J + level U N^T for J = C Q_p^T, with U from a complete QR of C and N = Q[:, p:].
+
+    Returns (J_rep, level, y): the explicit rank repair that clamp_singular_values
+    describes in factors, over the k = min(m, n) - p complement columns.
+    """
+    (m, p), n = C.shape, Q.shape[0]
+    k = min(m, n) - p
+    level, gram, y = clamp_singular_values(C, r, k)
+    np.testing.assert_allclose(gram, C.T @ C, atol=1e-12 * max(1.0, np.abs(C).max()) ** 2)
+    U = np.linalg.qr(C, mode="complete")[0][:, p:p + k]
+    return C @ Q[:, :p].T + level * (U @ Q[:, p:p + k].T), level, y
 
 
 class TestClampSingularValues:
     def test_diagonal_case(self):
-        J = np.diag([2.0, 1.0, 0.0])
-        out = clamp_singular_values(J, 2)
+        # J = diag(2, 1, 0) = C Q_p^T with Q = I.
+        C = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        out, level, _ = repaired(C, np.ones(3), np.eye(3))
+        assert level == 1.0
         np.testing.assert_allclose(np.linalg.svd(out, compute_uv=False), [2.0, 1.0, 1.0],
                                    atol=1e-12)
 
@@ -105,15 +135,18 @@ class TestClampSingularValues:
         U, _ = np.linalg.qr(rng.standard_normal((n, n)))
         V, _ = np.linalg.qr(rng.standard_normal((n, n)))
         J = U @ np.diag([3.0, 1.2, 0.5, 0.0]) @ V.T
-        out = clamp_singular_values(J, n - 1)
+        out, level, _ = repaired(J @ V[:, :n - 1], rng.standard_normal(n), V)
+        assert abs(level - 0.5) < 1e-12
         sv = np.linalg.svd(out, compute_uv=False)
         assert abs(sv[-1] - 0.5) < 1e-10
 
     def test_rank_and_leading_triplets_preserved(self):
         rng = np.random.default_rng(7)
         m, n, p = 8, 5, 3
-        J = rng.standard_normal((m, p)) @ rng.standard_normal((p, n))
-        out = clamp_singular_values(J, p)
+        B = rng.standard_normal((p, n))
+        J = rng.standard_normal((m, p)) @ B
+        Q = np.linalg.qr(B.T, mode="complete")[0]  # Q_p spans the rows of J
+        out, _, _ = repaired(J @ Q[:, :p], rng.standard_normal(m), Q)
         assert np.linalg.matrix_rank(out, tol=1e-8) == n
         U1, s1, V1t = np.linalg.svd(J)
         s2 = np.linalg.svd(out, compute_uv=False)
@@ -127,18 +160,39 @@ class TestClampSingularValues:
             assert abs(np.linalg.norm(out @ w) - s1[p - 1]) < 1e-8 * s1[0]
 
     def test_idempotent(self):
+        # Restricting the repaired J to the span of Q_p and repairing again
+        # gives the same matrix: the restriction is C again.
         rng = np.random.default_rng(8)
-        J = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-        once = clamp_singular_values(J, 2)
-        twice = clamp_singular_values(once, 2)
+        B = rng.standard_normal((2, 4))
+        J = rng.standard_normal((6, 2)) @ B
+        Q = np.linalg.qr(B.T, mode="complete")[0]
+        r = rng.standard_normal(6)
+        once, _, _ = repaired(J @ Q[:, :2], r, Q)
+        twice, _, _ = repaired(once @ Q[:, :2], r, Q)
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
     def test_zero_matrix_fallback(self):
         # All-zero input: the clamped directions get unit scale, the leading
         # (zero) triplet is left alone.
-        out = clamp_singular_values(np.zeros((3, 3)), 1)
+        out, level, _ = repaired(np.zeros((3, 1)), np.ones(3), np.eye(3))
+        assert level == 1.0
         sv = np.sort(np.linalg.svd(out, compute_uv=False))
         np.testing.assert_allclose(sv, [0.0, 1.0, 1.0], atol=1e-12)
+
+    def test_y_holds_the_complement_coordinates_of_r(self):
+        # y = U^T r is read off the reflector of r's column, for any k.
+        rng = np.random.default_rng(13)
+        for m, p in ((9, 3), (4, 3), (12, 1)):
+            C = rng.standard_normal((m, p))
+            r = rng.standard_normal(m)
+            full = np.linalg.qr(C, mode="complete")[0].T @ r
+            for k in range(1, m - p + 1):
+                _, _, y = clamp_singular_values(C, r, k)
+                np.testing.assert_allclose(y, full[p:p + k], atol=1e-12)
+
+    def test_needs_room_for_the_complement(self):
+        with pytest.raises(ValueError):
+            clamp_singular_values(np.ones((3, 2)), np.ones(3), 2)
 
 
 class TestLinearFit:

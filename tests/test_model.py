@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfls.linalg import DegenerateSetError, random_orthonormal, random_unit
@@ -8,6 +8,7 @@ from dfls.model import (
     INVERSE_DENOM_TOL,
     InterpolationSet,
     LagrangeBasis,
+    LinearResidualModel,
     build_initial_set,
     build_linear_model,
     choose_point_to_replace,
@@ -34,6 +35,38 @@ def affine_set(A, b, points, base_index=0):
     for t in range(points.shape[0]):
         iset.set_value(t, A @ points[t] + b)
     return iset
+
+
+def random_growing_set(rng, n):
+    """p + 1 <= n random points in R^n with random values, base at a random slot."""
+    p = int(rng.integers(1, n))
+    m = int(rng.integers(1, 2 * n + 1))
+    iset = InterpolationSet(rng.standard_normal((p + 1, n)), base_index=int(rng.integers(p + 1)))
+    for t in range(p + 1):
+        iset.set_value(t, rng.standard_normal(m))
+    return iset
+
+
+def explicit_repair(iset):
+    """J_rep = J + sigma_p U N^T from lstsq, an SVD and two complete QRs."""
+    b = iset.base_index
+    D = np.delete(iset.points, b, axis=0) - iset.base_point()
+    dV = np.delete(iset.values, b, axis=0) - iset.base_value()
+    J = np.linalg.lstsq(D, dV, rcond=None)[0].T
+    (m, n), p = J.shape, D.shape[0]
+    k = min(m, n) - p
+    if k <= 0:
+        return J
+    Q = np.linalg.qr(D.T, mode="complete")[0]
+    C = J @ Q[:, :p]
+    U = np.linalg.qr(C, mode="complete")[0][:, p:p + k]
+    sigma = np.linalg.svd(J, compute_uv=False)
+    level = sigma[p - 1] if sigma[p - 1] >= 1e-12 * sigma[0] else 1.0
+    return J + level * (U @ Q[:, p:p + k].T)
+
+
+def assert_close_rel(a, b, rel):
+    assert np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
 
 
 class TestBuildInitialSet:
@@ -137,41 +170,42 @@ class TestBuildLinearModel:
             fixed = build_linear_model(iset, repair_rank=True)
             assert np.linalg.matrix_rank(fixed.J, tol=1e-10) == n
 
-    def test_growing_fit_is_the_min_norm_branch_bitwise(self):
-        # The growing set's fit (p < n) through the one fit entry point is the
-        # standalone min-norm interpolant below, bit for bit, and has no basis.
-        from dfls.linalg import clamp_singular_values, solve_min_norm
-
-        def min_norm_fit(iset, repair_rank):
-            p = iset.npt - 1
-            diff = iset.points - iset.base_point()
-            alpha = float(np.max(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
-            scale = np.sqrt(alpha)
-            W = np.empty((iset.npt, iset.n + 1))
-            W[:, 0] = 1.0
-            W[:, 1:] = diff / scale
-            Z = solve_min_norm(W, iset.values)
-            J = Z[1:].T / scale
-            if repair_rank:
-                J = clamp_singular_values(J, p)
-            return Z[0].copy(), J, alpha
-
+    def test_growing_fit_matches_the_min_norm_oracle(self):
+        # The growing set's fit (p < n) has no basis, pins r to the base value
+        # and, unrepaired, is the min-norm interpolant of a from-scratch lstsq.
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            p = int(rng.integers(1, n))
-            m = int(rng.integers(1, 2 * n + 1))
-            iset = InterpolationSet(rng.standard_normal((p + 1, n)),
-                                    base_index=int(rng.integers(p + 1)))
-            for t in range(p + 1):
-                iset.set_value(t, rng.standard_normal(m))
-            for repair_rank in (True, False):
-                lm, basis = fit_model_and_basis(iset, repair_rank=repair_rank)
-                r, J, alpha = min_norm_fit(iset, repair_rank)
-                assert basis is None
-                assert np.array_equal(lm.r, r) and np.array_equal(lm.J, J)
-                assert lm.alpha == alpha
-                assert np.array_equal(build_linear_model(iset, repair_rank).J, J)
+        checked = 0
+        for _ in range(80):
+            iset = random_growing_set(rng, int(rng.integers(2, 9)))
+            W = np.hstack([np.ones((iset.npt, 1)), iset.points - iset.base_point()])
+            if np.linalg.cond(W) > 1e4:
+                continue
+            Z = np.linalg.lstsq(W, iset.values, rcond=None)[0]
+            lm, basis = fit_model_and_basis(iset, repair_rank=False)
+            assert basis is None
+            radius = np.max(np.linalg.norm(iset.points - iset.base_point(), axis=1))
+            assert lm.alpha == pytest.approx(radius, rel=1e-15)
+            scale = max(np.abs(Z).max(), 1.0)
+            np.testing.assert_allclose(lm.r, Z[0], rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(lm.J, Z[1:].T, rtol=0, atol=1e-10 * scale)
+            checked += 1
+        assert checked >= 40
+
+    def test_growing_full_model_matches_an_explicit_repair(self):
+        # g and H come from the factors; they equal those of J_rep formed
+        # explicitly from complete QRs and an SVD, and so does the J read back.
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            iset = random_growing_set(rng, int(rng.integers(2, 12)))
+            J_rep = explicit_repair(iset)
+            expected = full_model(LinearResidualModel(iset.base_value(), J_rep, 1.0))
+            lm = fit_model_and_basis(iset)[0]
+            fm = full_model(lm)
+            assert fm.c == expected.c
+            assert_close_rel(fm.g, expected.g, 1e-12)
+            assert_close_rel(fm.H, expected.H, 1e-12)
+            assert_close_rel(lm.J, J_rep, 1e-12)
+            assert_close_rel(build_linear_model(iset).J, J_rep, 1e-12)
 
     def test_unevaluated_points_raise(self):
         iset = InterpolationSet(np.vstack([np.zeros(2), np.eye(2)]))
@@ -226,6 +260,33 @@ class TestBuildLinearModel:
             errs.append(np.linalg.norm(fm.g - grad_f(x)))
         fit = linear_fit(zip(np.log(deltas), np.log(errs)))
         assert fit.slope >= 0.9
+
+
+class TestGrowingModelStability:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), p_frac=st.floats(0.0, 1.0), m_mult=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=100, p_frac=0.3, m_mult=1.2, seed=0)
+    def test_tiny_value_perturbation_moves_the_gradient_tinily(self, n, p_frac, m_mult, seed):
+        # A 1e-15 relative change of the values moves g = 2 J_rep^T r by rounding
+        # only: the repair's complement directions are fixed by the two QRs,
+        # not by which trailing singular vectors rounding picks.
+        rng = np.random.default_rng(seed)
+        p = min(max(int(p_frac * n), 1), n - 1)
+        m = max(int(m_mult * n), 1)
+        points = rng.standard_normal((p + 1, n))
+        values = rng.standard_normal((p + 1, m))
+
+        def gradient(vals):
+            iset = InterpolationSet(points)
+            for t in range(p + 1):
+                iset.set_value(t, vals[t])
+            iset.rebase()
+            return full_model(fit_model_and_basis(iset)[0]).g
+
+        g = gradient(values)
+        moved = gradient(values * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, values.shape)))
+        assert np.linalg.norm(moved - g) <= 1e-12 * np.linalg.norm(g)
 
 
 class TestFullModel:

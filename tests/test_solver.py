@@ -847,6 +847,29 @@ class TestSolve:
         assert all(t["rho"] <= t["delta"] * (1 + 1e-12) for t in trace)
         assert all(t["delta"] <= 1e10 for t in trace)
 
+    def test_every_iteration_has_one_trace_entry(self):
+        # Iterations that end in a degenerate-set repair (the model of a residual
+        # that jumps by 1e150 overflows) or in a noise-level restart have their
+        # entry too, and the small-objective iteration that stops a run.
+        def jumpy(x):
+            return rosen(x) * (1e150 if x[0] > 0.05 else 1.0)
+
+        noisy = NoisyProblem(get_problem("rosenbrock"), NoiseModel("add_gaussian", 1e-3), seed=0)
+        runs = [
+            solve(jumpy, np.array([-1.2, 1.0]), seed=0, params=SolverParams(max_evals=80),
+                  record_trace=True),
+            solve(noisy, np.array([-1.2, 1.0]), seed=0, record_trace=True,
+                  params=SolverParams(max_evals=2000, noisy=True,
+                                      restarts=RestartConfig(autodetect=False),
+                                      noise_level=NoiseLevelConfig(level=0.5))),
+            solve(lambda x: x, np.array([1.0, 1.0]), seed=0, record_trace=True),
+        ]
+        assert runs[1].diagnostics["n_restarts"] > 0
+        assert runs[2].exit_flag == EXIT_SMALL_OBJECTIVE
+        for result in runs:
+            iters = [entry["iter"] for entry in result.diagnostics["trace"]]
+            assert iters == list(range(1, result.diagnostics["iterations"] + 1))
+
     def test_growing_adds_one_point_per_iteration(self):
         result = solve(get_problem("broyden_tridiagonal").residual,
                        get_problem("broyden_tridiagonal").x0, seed=0,
