@@ -30,7 +30,6 @@ from .model import (
     geometry_point,
     lagrange_basis,
     needs_geometry_improvement,
-    poisedness_estimate,
 )
 from .params import (
     NoiseLevelConfig,
@@ -56,9 +55,8 @@ from .solver import (
     EXIT_SMALL_OBJECTIVE,
     EXIT_SMALL_TRUST_REGION,
     Results,
-    apply_variable_scaling,
     solve,
 )
-from .trustregion import cauchy_point, solve_trust_region
+from .trustregion import solve_trust_region
 
 __version__ = "0.1.0"

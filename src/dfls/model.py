@@ -8,6 +8,7 @@ of the set and the geometry-improvement machinery all live here.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,6 @@ __all__ = [
     "build_linear_model",
     "full_model",
     "lagrange_basis",
-    "poisedness_estimate",
     "geometry_point",
     "needs_geometry_improvement",
     "choose_point_to_replace",
@@ -65,6 +65,10 @@ class InterpolationSet:
     move nor a radius change needs a hook. refactorizations counts the
     from-scratch factorizations by cause: "first" use, n+1 "updates" (a tall
     set allows none), small "denominator", failed "probe".
+
+    base_distances() is computed once per set state: put(), a rebase() that
+    moves the base and set_base() drop it, so points and base_index must
+    change only through those three.
     """
 
     def __init__(self, points, values=None, sample_counts=None, base_index=0):
@@ -85,6 +89,8 @@ class InterpolationSet:
         self._frame = None
         self._updates = 0          # rank-one updates since the last factorization
         self._stale = "first"      # cause of the next factorization
+        self._dist = None          # distances from the base point, or None
+        self._probe = None         # the probe vector v of _probe_residual and ||v||
         self.refactorizations = {"first": 0, "updates": 0, "denominator": 0, "probe": 0}
 
     @property
@@ -119,35 +125,44 @@ class InterpolationSet:
             raise ValueError(f"residual has shape {value.shape}, "
                              f"expected ({self.values.shape[1]},)")
         self.values[t] = value
-        self._fvals[t] = float(value @ value)
+        self._fvals[t] = float(value.dot(value))
         self.sample_counts[t] = n_samples
 
     def rebase(self):
         """Point the base at the strictly smallest objective value."""
-        t = int(np.argmin(self._fvals))
+        t = int(self._fvals.argmin())
         if self._fvals[t] < self._fvals[self.base_index]:
             self.base_index = t
+            self._dist = None
 
     def set_base(self, t):
         """Point the base at slot t, whatever its objective value."""
         self.base_index = int(t)
+        self._dist = None
 
     def distances_from(self, center):
         diff = self.points - np.asarray(center, dtype=float)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    def base_distances(self):
+        """distances_from(base_point()), cached: callers must not write into it."""
+        if self._dist is None:
+            self._dist = self.distances_from(self.base_point())
+        return self._dist
 
     def has_point(self, y, skip=None):
         """True iff y equals a point of the set, not counting slot skip.
 
         Duplicate points would make the interpolation system singular.
         """
-        same = np.all(self.points == y, axis=1)
+        same = (self.points == y).all(axis=1)
         if skip is not None:
             same[skip] = False
-        return bool(np.any(same))
+        return bool(same.any())
 
     def put(self, t, point, value, n_samples=1):
         """Write point and value into slot t (t == npt appends); no rebase."""
+        self._dist = None
         if t == self.npt:
             self.points = np.vstack([self.points, point])
             self._fvals = np.append(self._fvals, np.inf)
@@ -176,23 +191,26 @@ class InterpolationSet:
             return
         Z = self._inv
         base, alpha = self._frame
-        ell = Z[0] + ((y - base) / alpha) @ Z[1:]
+        ell = Z[0] + ((y - base) / alpha).dot(Z[1:])
         denom = ell[t]
         if not abs(denom) >= INVERSE_DENOM_TOL:
             self._drop_inverse("denominator")
             return
         zt = Z[:, t] / denom
         ell[t] -= 1.0
-        Z -= np.outer(zt, ell)
+        Z -= zt[:, None] * ell
         self._updates += 1
 
     def _probe_residual(self):
         """||W (Z v) - v|| / ||v|| for a fixed v, with W in the frame: O(n^2)."""
         base, alpha = self._frame
-        v = np.cos(np.arange(self.npt))
-        u = self._inv @ v
-        res = u[0] + ((self.points - base) / alpha) @ u[1:] - v
-        return float(np.linalg.norm(res) / np.linalg.norm(v))
+        if self._probe is None or self._probe[0].size != self.npt:
+            v = np.cos(np.arange(self.npt))
+            self._probe = (v, math.sqrt(float(v.dot(v))))
+        v, vnorm = self._probe
+        u = self._inv.dot(v)
+        res = u[0] + ((self.points - base) / alpha).dot(u[1:]) - v
+        return math.sqrt(float(res.dot(res))) / vnorm
 
     def pseudo_inverse(self):
         """(Z, alpha): W^+ for the p >= n interpolation matrix W (W^{-1} if p == n).
@@ -219,7 +237,7 @@ class InterpolationSet:
                     raise DegenerateSetError("degenerate interpolation set") from None
             else:
                 inv = solve_regression(W, np.eye(self.npt))
-            if not np.all(np.isfinite(inv)):
+            if not np.isfinite(inv).all():
                 raise DegenerateSetError("degenerate interpolation set")
             self._inv = inv
             self._frame = (self.base_point().copy(), alpha)
@@ -228,15 +246,15 @@ class InterpolationSet:
             self._stale = "first"
         base, alpha_f = self._frame
         Z = self._inv.copy()
-        Z[0] += ((self.base_point() - base) / alpha_f) @ Z[1:]
+        Z[0] += ((self.base_point() - base) / alpha_f).dot(Z[1:])
         Z[1:] *= alpha / alpha_f
         return Z, alpha
 
     def furthest_index(self):
         """Index of the non-base point furthest from the base point."""
-        dist = self.distances_from(self.base_point())
+        dist = self.base_distances().copy()
         dist[self.base_index] = -np.inf
-        return int(np.argmax(dist))
+        return int(dist.argmax())
 
 
 @dataclass
@@ -249,7 +267,7 @@ class LinearResidualModel:
 
     def gauss_newton(self):
         """(J^T r, J^T J)."""
-        return self.J.T @ self.r, self.J.T @ self.J
+        return self.J.T.dot(self.r), self.J.T.dot(self.J)
 
 
 @dataclass
@@ -303,13 +321,9 @@ class FullModel:
     g: np.ndarray
     H: np.ndarray
 
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.c + self.g @ s + 0.5 * (s @ self.H @ s)
-
     def decrease(self, s):
         s = np.asarray(s, dtype=float)
-        return -(self.g @ s) - 0.5 * (s @ self.H @ s)
+        return -(self.g.dot(s)) - 0.5 * (s.dot(self.H).dot(s))
 
 
 @dataclass
@@ -322,7 +336,7 @@ class LagrangeBasis:
 
     def evaluate(self, y):
         """Values of all polynomials at y."""
-        return self.c + self.g @ (np.asarray(y, dtype=float) - self.center)
+        return self.c + self.g.dot(np.asarray(y, dtype=float) - self.center)
 
 
 def _feasible_step(x0, direction, delta, lower, upper):
@@ -388,7 +402,7 @@ def _interp_matrix(iset, scale):
 
 def set_radius(iset):
     """Max distance of the set points from the base point."""
-    return float(np.max(iset.distances_from(iset.base_point())))
+    return float(iset.base_distances().max())
 
 
 def build_linear_model(iset, repair_rank=True):
@@ -405,7 +419,7 @@ def build_linear_model(iset, repair_rank=True):
 def full_model(lm):
     """Quadratic objective model ||r + J s||^2 from a linear residual model."""
     Jtr, JtJ = lm.gauss_newton()
-    return FullModel(c=float(lm.r @ lm.r), g=2.0 * Jtr, H=2.0 * JtJ)
+    return FullModel(c=float(lm.r.dot(lm.r)), g=2.0 * Jtr, H=2.0 * JtJ)
 
 
 def _solve_interpolation(iset):
@@ -457,20 +471,6 @@ def fit_model_and_basis(iset, repair_rank=True):
     return MinNormModel(r, alpha, Q, C, gram, level, y), None
 
 
-def poisedness_estimate(iset, center, delta):
-    """Largest Lagrange-polynomial magnitude over the ball B(center, delta).
-
-    For linear polynomials the ball maximum is |L_t(center)| + delta ||g_t||,
-    which is exact. Returns +inf for a degenerate set.
-    """
-    try:
-        basis = lagrange_basis(iset)
-    except DegenerateSetError:
-        return np.inf
-    vals = np.abs(basis.evaluate(center)) + delta * np.linalg.norm(basis.g, axis=1)
-    return float(np.max(vals))
-
-
 def _bounds_arrays(bounds, n):
     """(lower, upper) as new float vectors of length n; a None side is unbounded."""
     lower, upper = (None, None) if bounds is None else bounds
@@ -491,37 +491,41 @@ def geometry_point(basis, t, center, delta, bounds=None, rng=None):
 
     Unconstrained the maximizer is center +/- delta g_t/||g_t|| with the sign
     picked to maximize |L_t|. With bounds, both endpoints are projected onto
-    the box and the better one is returned.
+    the box and the better one is returned; bounds=None clips nothing.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    lower, upper = _bounds_arrays(bounds, n)
+    box = None if bounds is None else _bounds_arrays(bounds, n)
+
+    def clip(y):
+        return y if box is None else np.clip(y, *box)
+
     g = basis.g[t]
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         logger.warning("geometry step: zero Lagrange gradient, using a random direction")
         d = np.eye(n)[0] if rng is None else random_unit(rng, n)
-        return np.clip(center + delta * d, lower, upper)
+        return clip(center + delta * d)
     step = delta * g / gnorm
-    cands = [np.clip(center + step, lower, upper), np.clip(center - step, lower, upper)]
+    cands = [clip(center + step), clip(center - step)]
     vals = [abs(basis.evaluate(y)[t]) for y in cands]
     return cands[int(np.argmax(vals))]
 
 
-def needs_geometry_improvement(iset, center, epsilon):
-    """True iff some point lies strictly further than epsilon from center."""
-    return bool(np.max(iset.distances_from(center)) > epsilon)
+def needs_geometry_improvement(iset, epsilon):
+    """True iff some point lies strictly further than epsilon from the base point."""
+    return bool(iset.base_distances().max() > epsilon)
 
 
-def choose_point_to_replace(iset, basis, new_point, center, delta):
+def choose_point_to_replace(iset, basis, new_point, delta):
     """Index of the point to drop when new_point enters the set.
 
-    Scores each non-base point by |L_t(new_point)| * max(dist_t^4 / delta^4, 1)
-    so distant points are evicted preferentially; ties in distance reduce the
-    criterion to the Lagrange magnitude.
+    Scores each non-base point by |L_t(new_point)| * max(dist_t^4 / delta^4, 1),
+    dist_t its distance from the base point, so distant points are evicted
+    preferentially; ties in distance reduce the criterion to the Lagrange
+    magnitude.
     """
     lam = np.abs(basis.evaluate(new_point))
-    dist = iset.distances_from(center)
-    score = lam * np.maximum((dist / delta) ** 4, 1.0)
+    score = lam * np.maximum((iset.base_distances() / delta) ** 4, 1.0)
     score[iset.base_index] = -np.inf
-    return int(np.argmax(score))
+    return int(score.argmax())

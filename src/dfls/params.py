@@ -150,6 +150,9 @@ def resolve_params(params, n, x0_norm_inf, box_width=math.inf):
         raise ValueError("need 0 < alpha1 < alpha2 < 1")
     if not 0.0 < p.eta1 <= p.eta2 < 1.0:
         raise ValueError("need 0 < eta1 <= eta2 < 1")
+    # A NaN or nonpositive rho_end is named as such, not as a box-width error.
+    if not 0.0 < p.rho_end:
+        raise ValueError("need 0 < rho_end < delta0 <= delta_max")
     if not 0.5 * box_width > p.rho_end:
         raise ValueError(f"the narrowest free box width {box_width:g} must exceed "
                          f"2 * rho_end = {2.0 * p.rho_end:g}")

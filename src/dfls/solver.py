@@ -10,6 +10,7 @@ with optional stagnation auto-detection.
 """
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,7 +43,6 @@ __all__ = [
     "check_slow_decrease",
     "check_noise_level_termination",
     "auto_detect_restart",
-    "apply_variable_scaling",
     "EXIT_SMALL_OBJECTIVE",
     "EXIT_SMALL_TRUST_REGION",
     "EXIT_BUDGET",
@@ -176,17 +176,6 @@ def auto_detect_restart(radius_events, jac_history, cfg):
     return fit.slope >= cfg.slope_threshold and fit.correlation >= cfg.corr_threshold
 
 
-def apply_variable_scaling(residual, x0, lower, upper):
-    """Shift-and-scale a box-constrained problem onto the unit cube.
-
-    Returns (scaled_residual, u0, to_original, to_unit); the feasible region
-    of the scaled problem is [0, 1]^n. Requires finite bounds with positive
-    width in every coordinate.
-    """
-    to_original, to_unit = _unit_cube_maps(lower, upper)
-    return (lambda u: residual(to_original(u))), to_unit(x0), to_original, to_unit
-
-
 def _unit_cube_maps(lower, upper):
     """(to_original, to_unit) between a finite box of positive widths and [0, 1]^n."""
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -214,8 +203,8 @@ def _with_fixed(x, free, to_original, z):
 
 
 def _residual_array(value):
-    """The residual as a float vector; any other shape is a ValueError."""
-    r = np.asarray(value, dtype=float)
+    """The residual as a contiguous float vector; any other shape is a ValueError."""
+    r = np.array(value, dtype=float, copy=None, order="C")
     if r.ndim != 1:
         raise ValueError(f"residuals must return a 1-D array, got shape {r.shape}")
     return r
@@ -225,7 +214,8 @@ class _Loop:
     """State and phases of one solver run (single-threaded, owns all state).
 
     to_caller maps solver points to the caller's coordinates where they are
-    evaluated; None when the two coincide.
+    evaluated; None when the two coincide. bounds is (lower, upper), or None
+    when no bound is finite: then nothing is clipped and no box is tested.
     """
 
     def __init__(self, fun, x0, lower, upper, params, rng, eval_hook, record_trace,
@@ -234,8 +224,8 @@ class _Loop:
         self.to_caller = to_caller
         self.x0 = np.asarray(x0, dtype=float)
         self.n = self.x0.size
-        self.lower = lower
-        self.upper = upper
+        finite = np.isfinite(lower).any() or np.isfinite(upper).any()
+        self.bounds = (lower, upper) if finite else None
         self.p = params
         self.rng = rng
         self.eval_hook = eval_hook
@@ -276,7 +266,7 @@ class _Loop:
             self.last_error = exc
             return None
         r = _residual_array(value)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             self.eval_failures["nonfinite"] += 1
             return None
         return r
@@ -301,14 +291,17 @@ class _Loop:
             rbar = self._eval_once(batch, x, n_use)
         else:
             samples = [self._eval_once(self.fun, x) for _ in range(n_use)]
-            rbar = None if any(r is None for r in samples) else sum(samples[1:], samples[0]) / n_use
+            if any(r is None for r in samples):
+                rbar = None
+            else:
+                rbar = samples[0] if n_use == 1 else sum(samples[1:], samples[0]) / n_use
         if rbar is None:
             self.consecutive_failures += 1
             if self.consecutive_failures > _MAX_CONSECUTIVE_FAILURES:
                 raise RuntimeError("persistent objective evaluation failure")
             return None, np.inf, n_use
         self.consecutive_failures = 0
-        fbar = float(rbar @ rbar)
+        fbar = float(rbar.dot(rbar))
         if fbar < self.best_f:
             self.best_f = fbar
             self.best_x = np.asarray(x, dtype=float).copy()
@@ -319,7 +312,7 @@ class _Loop:
     # -- helpers ------------------------------------------------------------
 
     def _clip(self, x):
-        return np.clip(x, self.lower, self.upper)
+        return x if self.bounds is None else np.clip(x, *self.bounds)
 
     def _growing(self):
         return self.iset.npt < self.p.p + 1
@@ -354,8 +347,8 @@ class _Loop:
     # -- phases -------------------------------------------------------------
 
     def _initialize(self):
-        self.iset = build_initial_set(self.x0, self.p.delta0, self.p.p_init,
-                                      (self.lower, self.upper), self.rng)
+        self.iset = build_initial_set(self.x0, self.p.delta0, self.p.p_init, self.bounds,
+                                      self.rng)
         rbar, fbar, nsamp = self.evaluate_averaged(self.iset.points[0])
         if rbar is None:
             raise RuntimeError(_START_FAILED) from self.last_error
@@ -397,7 +390,7 @@ class _Loop:
             basis = lagrange_basis(self.iset)
         except DegenerateSetError:
             return self._clip(center + radius * random_unit(self.rng, self.n))
-        return geometry_point(basis, t, center, radius, (self.lower, self.upper), self.rng)
+        return geometry_point(basis, t, center, radius, self.bounds, self.rng)
 
     def _improve_geometry(self):
         """Move the point furthest from the base to a geometry-improving spot."""
@@ -454,7 +447,7 @@ class _Loop:
     def _momentum_point(self, xk, step):
         """x_{k+1} + delta d with random unit d, d.step > 0, clipped to the box."""
         def box_step(d):
-            return min(_max_feasible_step(xk, d, np.inf, self.lower, self.upper), self.delta)
+            return min(_max_feasible_step(xk, d, np.inf, self.bounds), self.delta)
 
         for _ in range(50):
             d = random_unit(self.rng, self.n)
@@ -498,8 +491,8 @@ class _Loop:
     def _hard_restart(self):
         """Rebuild the whole set around the current base, like the initial set."""
         old = self.iset
-        fresh = build_initial_set(old.base_point(), self.p.delta0, self.p.p,
-                                  (self.lower, self.upper), self.rng)
+        fresh = build_initial_set(old.base_point(), self.p.delta0, self.p.p, self.bounds,
+                                  self.rng)
         fresh.set_value(0, old.base_value(), old.sample_counts[old.base_index])
         fresh.refactorizations = old.refactorizations  # the run's counts go on
         self._fill_initial_values(fresh)
@@ -586,15 +579,18 @@ class _Loop:
             return
         fm = full_model(lm)
         # The model's one finiteness test: a non-finite r or J shows in g or H.
-        if not (np.all(np.isfinite(fm.g)) and np.all(np.isfinite(fm.H))):
+        if not (np.isfinite(fm.g).all() and np.isfinite(fm.H).all()):
             self._repair_degenerate()
             return
         if self.autodetect:
             self._record_jacobian(lm.J)
 
         xk = iset.base_point()
-        s = solve_trust_region(fm, self.delta, self.lower - xk, self.upper - xk)
-        step_norm = float(np.sqrt(s @ s))
+        if self.bounds is None:
+            s = solve_trust_region(fm, self.delta)
+        else:
+            s = solve_trust_region(fm, self.delta, self.bounds[0] - xk, self.bounds[1] - xk)
+        step_norm = math.sqrt(float(s.dot(s)))
 
         if step_norm < p.gamma_safety * self.rho:
             self._safety_phase(growing)
@@ -626,7 +622,7 @@ class _Loop:
             if growing:
                 t = iset.npt
             else:
-                t = choose_point_to_replace(iset, basis, xnew, xk, self.delta)
+                t = choose_point_to_replace(iset, basis, xnew, self.delta)
             iset.put(t, xnew, rbar, nsamp)
             iset.rebase()
 
@@ -646,7 +642,7 @@ class _Loop:
             self._request_restart(EXIT_SLOW_PROGRESS)
             return
 
-        if needs_geometry_improvement(iset, iset.base_point(), self._geom_epsilon()):
+        if needs_geometry_improvement(iset, self._geom_epsilon()):
             self._improve_geometry()
             return
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import _bounds_arrays
 
-__all__ = ["solve_trust_region", "cauchy_point", "contract_stats", "reset_contract_stats"]
+__all__ = ["solve_trust_region", "contract_stats", "reset_contract_stats"]
 
 _FEAS_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -52,19 +52,19 @@ def _face_steps(s, d, lower, upper):
         return np.where(d > 0, (upper - s) / d, np.where(d < 0, (lower - s) / d, np.inf))
 
 
-def _max_feasible_step(s, d, delta, lower, upper, box=True):
-    """Largest t >= 0 with s + t d inside the ball and the box."""
-    dd = float(d @ d)
+def _max_feasible_step(s, d, delta, box=None):
+    """Largest t >= 0 with s + t d inside the ball and, unless box is None, the box."""
+    dd = float(d.dot(d))
     if dd == 0.0:
         return 0.0
     # Ball: ||s + t d|| = delta.
-    sd = float(s @ d)
-    ss = float(s @ s)
+    sd = float(s.dot(d))
+    ss = float(s.dot(s))
     disc = sd * sd + dd * (delta * delta - ss)
-    t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
-    if not box:
+    t_ball = (-sd + math.sqrt(disc)) / dd if disc > 0.0 else 0.0
+    if box is None:
         return max(0.0, t_ball)
-    return max(0.0, min(t_ball, float(np.min(_face_steps(s, d, lower, upper)))))
+    return max(0.0, min(t_ball, float(np.min(_face_steps(s, d, *box)))))
 
 
 class _Descent:
@@ -77,12 +77,12 @@ class _Descent:
     hnorm is the _HessianNorm of H along d.
     """
 
-    def __init__(self, model, delta, lo, up, gnorm):
-        n = lo.size
+    def __init__(self, model, delta, box, gnorm):
         self.gnorm = gnorm
         self.d = -model.g / gnorm
-        self.box = bool(np.any(lo > -delta) or np.any(up < delta))
-        self.t_max = _max_feasible_step(np.zeros(n), self.d, delta, lo, up, box=self.box)
+        self.box = box is not None and bool((box[0] > -delta).any() or (box[1] < delta).any())
+        self.t_max = _max_feasible_step(np.zeros(self.d.size), self.d, delta,
+                                        box if self.box else None)
         self.t_reach = self.t_max if self.box else delta
         self.hnorm = _HessianNorm(model.H, self.d)
 
@@ -108,16 +108,6 @@ def _cauchy_step(descent):
     return min(t_opt, descent.t_max) * descent.d
 
 
-def cauchy_point(model, delta, lower=None, upper=None):
-    """Exact line search along -g truncated by the ball and the box."""
-    g = model.g
-    lo, up = _bounds_arrays((lower, upper), g.size)
-    gnorm = np.sqrt(float(g @ g))
-    if gnorm == 0.0:
-        return np.zeros(g.size)
-    return _cauchy_step(_Descent(model, delta, lo, up, gnorm))
-
-
 def _spectral_norm(H):
     # H is symmetric PSD, so the spectral norm is the top eigenvalue.
     if H.shape[0] == 1:
@@ -138,10 +128,10 @@ class _HessianNorm:
 
     def __init__(self, H, d):
         margin = 4.0 * (d.size + 4) * _EPS
-        dH = d @ H
+        dH = d.dot(H)
         self.H = H
-        self.curv = float(dH @ d)
-        self.lower = math.sqrt(float(dH @ dH)) * (1.0 - margin)
+        self.curv = float(dH.dot(d))
+        self.lower = math.sqrt(float(dH.dot(dH))) * (1.0 - margin)
         self.upper = float(np.abs(H).sum(axis=1).max()) * (1.0 + margin)
         self._exact = None
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -168,30 +158,31 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
     H = model.H
     g = model.g
     s = s0.copy()
-    gg = float(g @ g)
+    tol = 1e-28 * max(1.0, float(g.dot(g)))
     if bounds is not None:
         lower, upper = bounds
         tol_lo = np.where(np.isfinite(lower), _FEAS_TOL * np.maximum(1.0, np.abs(lower)), 0.0)
         tol_up = np.where(np.isfinite(upper), _FEAS_TOL * np.maximum(1.0, np.abs(upper)), 0.0)
     iters = 0
     while True:
-        r = -(g + H @ s)
+        r = -(g + H.dot(s))
         if bounds is not None:
             fixed = ((s <= lower + tol_lo) & (r <= 0)) | ((s >= upper - tol_up) & (r >= 0))
             r[fixed] = 0.0
-        rr = float(r @ r)
-        if rr <= 1e-28 * max(1.0, gg):
+        rr = float(r.dot(r))
+        if rr <= tol:
             return s
         d = r.copy()
-        ss = float(s @ s)
+        ss = float(s.dot(s))
         while iters < max_iter:
             iters += 1
-            Hd = H @ d
-            dHd = float(d @ Hd)
-            sd = float(s @ d)
-            dd = float(d @ d)
+            Hd = H.dot(d)
+            dHd = float(d.dot(Hd))
+            sd = float(s.dot(d))
+            dd = float(d.dot(d))
             disc = sd * sd + dd * (delta * delta - ss)
-            t_ball = (-sd + np.sqrt(max(disc, 0.0))) / dd if disc > 0.0 else 0.0
+            # np.sqrt keeps numpy's division: dd can underflow to 0.
+            t_ball = (-sd + np.sqrt(disc)) / dd if disc > 0.0 else 0.0
             on_ball = dHd <= 1e-15 * dd or rr / dHd >= t_ball
             t = t_ball if on_ball else rr / dHd
             if bounds is not None:
@@ -208,8 +199,8 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
             r -= t * Hd
             if bounds is not None:
                 r[fixed] = 0.0
-            rr_new = float(r @ r)
-            if rr_new <= 1e-28 * max(1.0, gg):
+            rr_new = float(r.dot(r))
+            if rr_new <= tol:
                 return s
             d = r + (rr_new / rr) * d
             rr = rr_new
@@ -223,25 +214,27 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     The step starts from the Cauchy point and is refined by truncated CG (at
     most 2n iterations), so the Cauchy decrease bound holds; it is verified
     on every call and an AssertionError is raised on violation. Returns the
-    zero step when the model gradient vanishes.
+    zero step when the model gradient vanishes. Without lower and upper
+    there is no box: no bound vectors are built and no step is clipped.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("need delta > 0")
     g = model.g
     n = g.size
-    lo, up = _bounds_arrays((lower, upper), n)
-    if np.any(lo > _FEAS_TOL) or np.any(up < -_FEAS_TOL):
-        raise ValueError("bounds must contain the origin (shift to the current iterate)")
-    lo = np.minimum(lo, 0.0)
-    up = np.maximum(up, 0.0)
-    gnorm = np.sqrt(float(g @ g))
+    box = None
+    if lower is not None or upper is not None:
+        lo, up = _bounds_arrays((lower, upper), n)
+        if np.any(lo > _FEAS_TOL) or np.any(up < -_FEAS_TOL):
+            raise ValueError("bounds must contain the origin (shift to the current iterate)")
+        box = (np.minimum(lo, 0.0), np.maximum(up, 0.0))
+    gnorm = math.sqrt(float(g.dot(g)))
     if gnorm == 0.0:
         return np.zeros(n)
 
-    descent = _Descent(model, delta, lo, up, gnorm)
-    s_c = _finalize(_cauchy_step(descent), lo, up, delta)
-    s = _truncated_cg(model, s_c, delta, 2 * n, (lo, up) if descent.box else None)
-    s = _finalize(s, lo, up, delta)
+    descent = _Descent(model, delta, box, gnorm)
+    s_c = _finalize(_cauchy_step(descent), box, delta)
+    s = _truncated_cg(model, s_c, delta, 2 * n, box if descent.box else None)
+    s = _finalize(s, box, delta)
 
     # Keep the CG refinement only when its decrease verifiably beats the
     # Cauchy step and the bound; the evaluation of the decrease itself is
@@ -263,10 +256,11 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     return s if keep_cg else s_c
 
 
-def _finalize(s, lo, up, delta):
+def _finalize(s, box, delta):
     # Exact feasibility clean-up; scaling towards the origin stays in the box.
-    s = np.clip(s, lo, up)
-    snorm = np.sqrt(float(s @ s))
+    if box is not None:
+        s = np.clip(s, *box)
+    snorm = math.sqrt(float(s.dot(s)))
     if snorm > delta:
         s = s * (delta / snorm)
     return s
@@ -283,13 +277,13 @@ def _decrease(model, s, gnorm):
     the allowance for exact-equality cases (isotropic H) at the scale of the
     bound.
     """
-    Hs = model.H @ s
-    gs = float(model.g @ s)
-    sHs = float(s @ Hs)
+    Hs = model.H.dot(s)
+    gs = float(model.g.dot(s))
+    sHs = float(s.dot(Hs))
     decrease = -gs - 0.5 * sHs
     n = s.size
-    snorm = np.sqrt(float(s @ s))
-    cancel = gnorm * snorm + 0.5 * snorm * np.sqrt(float(Hs @ Hs))
+    snorm = math.sqrt(float(s.dot(s)))
+    cancel = gnorm * snorm + 0.5 * snorm * math.sqrt(float(Hs.dot(Hs)))
     return decrease, 8.0 * (n + 4) * _EPS * cancel
 
 

@@ -17,7 +17,7 @@ from dfls.model import (
     geometry_point,
     lagrange_basis,
     needs_geometry_improvement,
-    poisedness_estimate,
+    set_radius,
 )
 
 
@@ -27,6 +27,26 @@ def make_set(points, values):
         iset.set_value(t, np.atleast_1d(np.asarray(v, dtype=float)))
     iset.rebase()
     return iset
+
+
+def model_value(fm, s):
+    """m(s) = c + g.s + 0.5 s.H.s of a FullModel."""
+    s = np.asarray(s, dtype=float)
+    return fm.c + fm.g @ s + 0.5 * (s @ fm.H @ s)
+
+
+def poisedness_estimate(iset, center, delta):
+    """Largest Lagrange-polynomial magnitude over the ball B(center, delta).
+
+    For linear polynomials the ball maximum is |L_t(center)| + delta ||g_t||,
+    which is exact. Returns +inf for a degenerate set.
+    """
+    try:
+        basis = lagrange_basis(iset)
+    except DegenerateSetError:
+        return np.inf
+    vals = np.abs(basis.evaluate(center)) + delta * np.linalg.norm(basis.g, axis=1)
+    return float(np.max(vals))
 
 
 def affine_set(A, b, points, base_index=0):
@@ -314,7 +334,7 @@ class TestFullModel:
         for _ in range(10):
             s = rng.standard_normal(3)
             direct = np.linalg.norm(r + J @ s) ** 2
-            assert abs(fm.value(s) - direct) < 1e-10 * max(1.0, direct)
+            assert abs(model_value(fm, s) - direct) < 1e-10 * max(1.0, direct)
 
 
 class TestLagrangeBasis:
@@ -464,18 +484,17 @@ class TestSetMaintenance:
     def test_needs_improvement_cases(self):
         pts = np.vstack([np.zeros(2), 0.5 * np.eye(2)])
         iset = make_set(pts, [[0.0], [1.0], [1.0]])
-        center = np.zeros(2)
-        assert not needs_geometry_improvement(iset, center, 1.0)
-        assert needs_geometry_improvement(iset, center, 0.25)
+        assert not needs_geometry_improvement(iset, 1.0)
+        assert needs_geometry_improvement(iset, 0.25)
         # Boundary: strict inequality.
-        assert not needs_geometry_improvement(iset, center, 0.5)
+        assert not needs_geometry_improvement(iset, 0.5)
 
     def test_choose_replacement_prefers_distant_point(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [1.0, 1.0]])
         iset = make_set(pts, [[0.0], [1.0], [1.0], [2.0]])
         iset.base_index = 0
         basis = lagrange_basis(iset)
-        t = choose_point_to_replace(iset, basis, np.array([0.05, 0.05]), np.zeros(2), 0.1)
+        t = choose_point_to_replace(iset, basis, np.array([0.05, 0.05]), 0.1)
         assert t == 3
 
     def test_choose_replacement_reduces_to_lagrange_magnitude(self):
@@ -485,7 +504,7 @@ class TestSetMaintenance:
         iset.base_index = 0
         basis = lagrange_basis(iset)
         new_point = np.array([0.3, 0.4])
-        t = choose_point_to_replace(iset, basis, new_point, np.zeros(2), 1.0)
+        t = choose_point_to_replace(iset, basis, new_point, 1.0)
         lam = np.abs(basis.evaluate(new_point))
         lam[0] = -np.inf
         assert t == int(np.argmax(lam))
@@ -499,7 +518,7 @@ class TestSetMaintenance:
             basis = lagrange_basis(iset)
             new_point = rng.standard_normal(3)
             delta = rng.uniform(0.1, 2.0)
-            t = choose_point_to_replace(iset, basis, new_point, np.zeros(3), delta)
+            t = choose_point_to_replace(iset, basis, new_point, delta)
             lam = np.abs(basis.evaluate(new_point))
             dist = np.linalg.norm(iset.points - np.zeros(3), axis=1)
             score = lam * np.maximum(dist**4 / delta**4, 1.0)
@@ -570,6 +589,37 @@ class TestSetMaintenance:
             iset.put(1, np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="shape"):
             iset.put(1, np.array([0.0, 1.0]), np.array([1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.sampled_from(["put", "append", "rebase", "base", "read"]),
+                        min_size=1, max_size=30))
+    def test_cached_distances_track_the_set(self, n, seed, ops):
+        rng = np.random.default_rng(seed)
+        iset = make_set(rng.standard_normal((n + 1, n)), rng.standard_normal((n + 1, 2)))
+        for op in ops:
+            if op in ("put", "append"):
+                t = iset.npt if op == "append" else int(rng.integers(iset.npt))
+                iset.put(t, rng.standard_normal(n), rng.standard_normal(2))
+            elif op == "rebase":
+                iset.rebase()
+            elif op == "base":
+                iset.set_base(int(rng.integers(iset.npt)))
+            else:
+                # The readers leave the cached vector as they found it.
+                cached = iset.base_distances()
+                before = cached.copy()
+                iset.furthest_index()
+                set_radius(iset)
+                needs_geometry_improvement(iset, 0.5)
+                try:
+                    choose_point_to_replace(iset, lagrange_basis(iset), rng.standard_normal(n), 0.5)
+                except DegenerateSetError:
+                    pass
+                assert iset.base_distances() is cached
+                assert cached.tobytes() == before.tobytes()
+            fresh = iset.distances_from(iset.base_point())
+            assert iset.base_distances().tobytes() == fresh.tobytes()
 
     def test_furthest_index_is_never_the_base(self):
         rng = np.random.default_rng(16)

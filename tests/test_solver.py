@@ -25,7 +25,7 @@ from dfls.solver import (
     EXIT_SMALL_OBJECTIVE,
     EXIT_SMALL_TRUST_REGION,
     _Loop,
-    apply_variable_scaling,
+    _unit_cube_maps,
     auto_detect_restart,
     check_noise_level_termination,
     check_slow_decrease,
@@ -36,6 +36,13 @@ from dfls.solver import (
 
 def rosen(x):
     return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def apply_variable_scaling(residual, x0, lower, upper):
+    """Shift-and-scale a box-constrained problem onto the unit cube, through
+    the maps solve() uses: (scaled_residual, u0, to_original, to_unit)."""
+    to_original, to_unit = _unit_cube_maps(lower, upper)
+    return (lambda u: residual(to_original(u))), to_unit(x0), to_original, to_unit
 
 
 def make_loop(fun, x0, params, seed=0, bounds=None):
@@ -435,7 +442,7 @@ class TestMultiMove:
                     ref = min(ref, (upper[i] - x[i]) / d[i])
                 elif d[i] < 0 and np.isfinite(lower[i]):
                     ref = min(ref, (lower[i] - x[i]) / d[i])
-            assert _max_feasible_step(x, d, np.inf, lower, upper) == max(ref, 0.0)
+            assert _max_feasible_step(x, d, np.inf, (lower, upper)) == max(ref, 0.0)
 
     def test_momentum_respects_bounds(self):
         lower, upper = np.array([-1.3, 0.9]), np.array([-1.1, 1.1])
@@ -522,7 +529,7 @@ class TestGeometryPoint:
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.1))
         center = loop.iset.base_point().copy()
         expected = geometry_point(lagrange_basis(loop.iset), 1, center, 0.05,
-                                  (loop.lower, loop.upper), copy.deepcopy(loop.rng))
+                                  loop.bounds, copy.deepcopy(loop.rng))
         assert np.array_equal(loop._geometry_point(1, center, 0.05), expected)
 
 
@@ -681,6 +688,22 @@ class TestSolveBoundary:
         for bounds in (([np.nan, -2.0], [2.0, 2.0]), (-2.0, [2.0, np.nan]), (np.nan, None)):
             with pytest.raises(ValueError, match="bounds"):
                 solve(rosen, np.array([-1.2, 1.0]), bounds=bounds)
+
+    def test_nan_rho_end_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("need 0 < rho_end < delta0 <= delta_max")):
+            solve(rosen, np.array([-1.2, 1.0]), params=SolverParams(rho_end=np.nan))
+
+    @pytest.mark.parametrize("name", ["rosenbrock", "osborne1", "cube_8"])
+    def test_no_bounds_is_the_far_box(self, name):
+        # Unbounded, the solver clips nothing and tests no box; a box at
+        # +-1e300 goes through every clip and box test without binding.
+        prob = get_problem(name)
+        params = SolverParams(max_evals=60 * (prob.n + 1))
+        runs = [solve(prob.residual, prob.x0, bounds=bounds, params=params, seed=3,
+                      record_trace=True) for bounds in (None, (-1e300, 1e300))]
+        assert runs[0].x.tobytes() == runs[1].x.tobytes()
+        assert (runs[0].f, runs[0].n_evals) == (runs[1].f, runs[1].n_evals)
+        assert runs[0].diagnostics["trace"] == runs[1].diagnostics["trace"]
 
 
 class TestNarrowBoxes:

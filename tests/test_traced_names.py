@@ -6,6 +6,8 @@ runs. The tracer's source is executed here without importing it as a module.
 """
 
 import runpy
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,43 @@ PAIRS = [(entry, owner, attr) for entry, pairs in TRACER["ENTRIES"].items()
 def test_traced_entry_resolves_under_dfls(entry, owner_path, attr):
     owner = TRACER["_resolve"](dfls, owner_path)
     assert callable(vars(owner).get(attr)), f"{entry}: dfls.{owner_path}.{attr}"
+
+
+SOLVER_SIDE = ("model", "trustregion", "linalg", "solver")
+MUST_RUN = ("fit_model_and_basis", "lagrange_basis", "geometry_point", "choose_point_to_replace",
+            "needs_geometry_improvement", "solve_trust_region")
+
+
+def test_a_dense_solve_calls_each_solver_entry_through_its_module_attribute():
+    # The tracer replaces a function wherever a dfls module holds it. A call
+    # that bypasses those attributes (an inlined body, a cached local) would
+    # leave its traced layer at zero calls.
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "dfls" or name.startswith("dfls."))]
+    calls = Counter()
+    patched = []
+
+    def counted(fn, attr):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    try:
+        for _, owner_path, attr in PAIRS:
+            if owner_path.split(".")[0] not in SOLVER_SIDE:
+                continue
+            owner = TRACER["_resolve"](dfls, owner_path)
+            original = vars(owner)[attr]
+            holders = ([owner] if isinstance(owner, type)
+                       else [m for m in modules if vars(m).get(attr) is original])
+            for holder in holders:
+                patched.append((holder, attr, original))
+                setattr(holder, attr, counted(original, attr))
+        prob = dfls.get_problem("osborne1")
+        dfls.solve(prob.residual, prob.x0, seed=0,
+                   params=dfls.SolverParams(max_evals=100 * (prob.n + 1)))
+    finally:
+        for holder, attr, original in reversed(patched):
+            setattr(holder, attr, original)
+    assert [name for name in MUST_RUN if calls[name] == 0] == []

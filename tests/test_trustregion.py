@@ -7,11 +7,28 @@ from hypothesis import strategies as st
 
 from dfls import trustregion as tr
 from dfls.model import FullModel, _bounds_arrays
-from dfls.trustregion import cauchy_point, contract_stats, solve_trust_region
+from dfls.trustregion import contract_stats, solve_trust_region
 
 
 def quad(g, H, c=0.0):
     return FullModel(c=c, g=np.asarray(g, dtype=float), H=np.asarray(H, dtype=float))
+
+
+def model_value(model, s):
+    """m(s) = c + g.s + 0.5 s.H.s."""
+    s = np.asarray(s, dtype=float)
+    return model.c + model.g @ s + 0.5 * (s @ model.H @ s)
+
+
+def cauchy_point(model, delta, lower=None, upper=None):
+    """Exact line search along -g truncated by the ball and the box: the
+    Cauchy step solve_trust_region starts from, before its clean-up."""
+    g = model.g
+    lo, up = _bounds_arrays((lower, upper), g.size)
+    gnorm = np.sqrt(float(g @ g))
+    if gnorm == 0.0:
+        return np.zeros(g.size)
+    return tr._cauchy_step(tr._Descent(model, delta, (lo, up), gnorm))
 
 
 def gauss_newton_model(rng, n, m, scale=1.0, rank=None, dominant=False):
@@ -57,10 +74,10 @@ class TestSolveTrustRegion:
             X, Y = np.meshgrid(xs, xs)
             pts = np.column_stack([X.ravel(), Y.ravel()])
             pts = pts[np.linalg.norm(pts, axis=1) <= delta]
-            vals = np.array([model.value(p) for p in pts])
+            vals = np.array([model_value(model, p) for p in pts])
             best = vals.min()
-            spread = model.value(np.zeros(2)) - best
-            assert model.value(s) <= best + 0.05 * max(spread, 1e-12)
+            spread = model_value(model, np.zeros(2)) - best
+            assert model_value(model, s) <= best + 0.05 * max(spread, 1e-12)
 
     def test_feasibility_and_monotonicity(self):
         rng = np.random.default_rng(1)
@@ -77,7 +94,7 @@ class TestSolveTrustRegion:
             assert np.linalg.norm(s) <= delta * (1 + 1e-12)
             if lower is not None:
                 assert np.all(s >= lower - 1e-12) and np.all(s <= upper + 1e-12)
-            assert model.value(s) <= model.value(np.zeros(n)) + 1e-12
+            assert model_value(model, s) <= model_value(model, np.zeros(n)) + 1e-12
 
     def test_decrease_contract_is_counted(self):
         before = contract_stats()
@@ -86,6 +103,28 @@ class TestSolveTrustRegion:
         after = contract_stats()
         assert after["checks"] == before["checks"] + 1
         assert after["violations"] == before["violations"]
+
+    def test_nan_or_nonpositive_delta_raises(self):
+        model = quad([1.0, 0.0], np.eye(2))
+        for delta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="need delta > 0"):
+                solve_trust_region(model, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
+           deficiency=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           log_delta=st.floats(-4.0, 2.0))
+    def test_no_bounds_is_the_far_box_bitwise(self, n, extra_rows, seed, deficiency, scale,
+                                              log_delta):
+        # Without bounds no box is built; a box at +-1e300 never binds, so the
+        # two calls must agree bit for bit.
+        rng = np.random.default_rng(seed)
+        m = max(1, n + extra_rows)
+        model = gauss_newton_model(rng, n, m, scale, max(1, min(m, n) - deficiency))
+        delta = 10.0 ** log_delta
+        far = np.full(n, 1e300)
+        got = solve_trust_region(model, delta)
+        assert got.tobytes() == solve_trust_region(model, delta, -far, far).tobytes()
 
     def test_huge_ill_conditioned_models_survive(self):
         # Near-singular interpolation sets produce models with mixed huge
@@ -145,7 +184,7 @@ def exact_norm_step(model, delta, lower=None, upper=None):
     hnorm = tr._spectral_norm(H)
     box = bool(np.any(lo > -delta) or np.any(up < delta))
     d = -g / gnorm
-    t_max = tr._max_feasible_step(np.zeros(n), d, delta, lo, up, box=box)
+    t_max = tr._max_feasible_step(np.zeros(n), d, delta, (lo, up) if box else None)
     t_reach = t_max if box else delta
     bound = 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
     curv = float(d @ H @ d)
@@ -155,9 +194,9 @@ def exact_norm_step(model, delta, lower=None, upper=None):
         t_opt = gnorm / hnorm
     else:
         t_opt = np.inf
-    s_c = tr._finalize(min(t_opt, t_max) * d, lo, up, delta)
+    s_c = tr._finalize(min(t_opt, t_max) * d, (lo, up), delta)
     s = tr._truncated_cg(model, s_c, delta, 2 * n, (lo, up) if box else None)
-    s = tr._finalize(s, lo, up, delta)
+    s = tr._finalize(s, (lo, up), delta)
 
     def decrease_and_tol(step):
         Hs = H @ step
