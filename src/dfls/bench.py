@@ -40,7 +40,6 @@ __all__ = [
     "run_suite",
     "run_tasks",
     "records_to_csv",
-    "records_from_csv",
     "profiles_to_csv",
 ]
 
@@ -314,27 +313,6 @@ def records_to_csv(records, path):
         for rec in sorted(records, key=lambda r: (r.problem, r.seed)):
             for idx, ft, fn in zip(rec.eval_indices, rec.best_true, rec.best_noisy):
                 writer.writerow([rec.problem, rec.seed, int(idx), _fmt(ft), _fmt(fn)])
-
-
-def records_from_csv(path, meta):
-    """Rebuild records from records.csv plus the per-run metadata mapping.
-
-    meta maps (problem, seed) to a dict with the RunRecord scalar fields.
-    """
-    rows = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["problem"], int(row["seed"]))
-            rows.setdefault(key, []).append(
-                (int(row["eval_index"]), float(row["f_true"]), float(row["f_noisy"])))
-    records = []
-    for key, events in sorted(rows.items()):
-        ev = np.asarray(events, dtype=float)
-        info = meta[key]
-        records.append(RunRecord(
-            problem=key[0], seed=key[1], eval_indices=ev[:, 0].astype(int),
-            best_true=ev[:, 1], best_noisy=ev[:, 2], **info))
-    return records
 
 
 def profiles_to_csv(profiles, path):

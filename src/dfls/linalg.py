@@ -156,18 +156,19 @@ def random_unit(rng, n):
     return d
 
 
-def orthogonal_complement_direction(directions, rng):
-    """A random unit vector orthogonal to the span of the given row vectors.
+def orthogonal_complement_direction(Q, rng):
+    """A random unit vector orthogonal to the columns of Q.
 
-    `directions` is a (k, n) array with k < n.
+    Q is n x k with orthonormal columns; the vector is z - Q (Q^T z) for a
+    standard normal z, normalized. Raises DegenerateSetError at once when
+    k >= n, where the columns span R^n, and after 50 numerically zero draws.
     """
-    D = np.atleast_2d(np.asarray(directions, dtype=float))
-    n = D.shape[1]
-    Q, _ = np.linalg.qr(D.T)  # columns span the row space of D
-    for _ in range(50):
-        v = rng.standard_normal(n)
-        v -= Q @ (Q.T @ v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            return v / nv
+    n, k = Q.shape
+    if k < n:
+        for _ in range(50):
+            v = rng.standard_normal(n)
+            v -= Q @ (Q.T @ v)
+            nv = np.linalg.norm(v)
+            if nv > 1e-10:
+                return v / nv
     raise DegenerateSetError("no orthogonal direction found")

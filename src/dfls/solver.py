@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     DegenerateSetError,
     linear_fit,
     orthogonal_complement_direction,
@@ -349,7 +350,7 @@ class _Loop:
     def _initialize(self):
         self.iset = build_initial_set(self.x0, self.p.delta0, self.p.p_init, self.bounds,
                                       self.rng)
-        rbar, fbar, nsamp = self.evaluate_averaged(self.iset.points[0])
+        rbar, fbar, nsamp = self.evaluate_averaged(self.iset.points[0].copy())
         if rbar is None:
             raise RuntimeError(_START_FAILED) from self.last_error
         self.iset.set_value(0, rbar, nsamp)
@@ -366,7 +367,7 @@ class _Loop:
         x0 = iset.points[0]
         for t in range(1, iset.npt):
             step = iset.points[t] - x0
-            candidates = [iset.points[t]]
+            candidates = [iset.points[t].copy()]
             for frac in (-1.0, 0.5, -0.5, 0.25, -0.25, 0.05, -0.05):
                 candidates.append(self._clip(x0 + frac * step))
             for y in candidates:
@@ -417,17 +418,34 @@ class _Loop:
         d = random_unit(self.rng, self.n)
         self._move_point(t, self._clip(self.iset.base_point() + self.delta * d))
 
-    def _growing_safety(self):
-        """Append a point orthogonal to the current growing directions."""
+    def _hull(self, lm):
+        """Orthonormal basis of a growing set's displacements: Q_p, or I_n once p >= n."""
+        p = self.iset.npt - 1
+        return lm.Q[:, :p] if p < self.n else np.eye(self.n)
+
+    def _growing_safety(self, hull):
+        """Append a point delta from the base along a direction orthogonal to hull."""
         xk = self.iset.base_point()
-        directions = np.delete(self.iset.points, self.iset.base_index, axis=0) - xk
         for _ in range(10):
             try:
-                d = orthogonal_complement_direction(directions, self.rng)
+                d = orthogonal_complement_direction(hull, self.rng)
             except DegenerateSetError:
                 d = random_unit(self.rng, self.n)
             if self._move_point(self.iset.npt, self._clip(xk + self.delta * d)):
                 return
+
+    def _perturb(self, hull, s):
+        """s plus growing_perturb_mult * delta times a random unit direction orthogonal
+        to s and to the columns of hull; s itself when they span R^n."""
+        q = s - hull.dot(hull.T.dot(s))
+        nq = math.sqrt(float(q.dot(q)))
+        if nq > RANK_TOL * math.sqrt(float(s.dot(s))):
+            hull = np.column_stack([hull, q / nq])
+        try:
+            d = orthogonal_complement_direction(hull, self.rng)
+        except DegenerateSetError:
+            return s
+        return s + self.p.growing_perturb_mult * self.delta * d
 
     def _multi_move(self, step):
         """Move the furthest points after a successful regression-mode step."""
@@ -593,16 +611,11 @@ class _Loop:
         step_norm = math.sqrt(float(s.dot(s)))
 
         if step_norm < p.gamma_safety * self.rho:
-            self._safety_phase(growing)
+            self._safety_phase(self._hull(lm) if growing else None)
             return
 
         if growing and p.growing == "perturb":
-            directions = np.vstack([np.delete(iset.points, iset.base_index, axis=0) - xk, s])
-            try:
-                d = orthogonal_complement_direction(directions, self.rng)
-                s = s + p.growing_perturb_mult * self.delta * d
-            except DegenerateSetError:
-                pass
+            s = self._perturb(self._hull(lm), s)
 
         xnew = self._clip(xk + s)
         rbar, fnew, nsamp = self.evaluate_averaged(xnew)
@@ -650,9 +663,9 @@ class _Loop:
         if hit_rho:
             self._reduce_rho()
 
-    def _safety_phase(self, growing):
-        if growing:
-            self._growing_safety()
+    def _safety_phase(self, hull):
+        if hull is not None:
+            self._growing_safety(hull)
             return
         self.delta = max(self.rho, self.p.omega_safety * self.delta)
         self._improve_geometry()

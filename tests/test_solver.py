@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dfls
 from dfls.params import (
@@ -14,8 +16,14 @@ from dfls.params import (
     nsamples_policy,
     resolve_params,
 )
-from dfls.linalg import DegenerateSetError, random_unit
-from dfls.model import fit_model_and_basis, geometry_point, lagrange_basis
+from dfls.linalg import RANK_TOL, DegenerateSetError, orthogonal_complement_direction, random_unit
+from dfls.model import (
+    InterpolationSet,
+    fit_model_and_basis,
+    full_model,
+    geometry_point,
+    lagrange_basis,
+)
 from dfls.problems import NoiseModel, NoisyProblem, get_problem
 from dfls.solver import (
     EXIT_BUDGET,
@@ -32,6 +40,7 @@ from dfls.solver import (
     solve,
     update_radii,
 )
+from dfls.trustregion import solve_trust_region
 
 
 def rosen(x):
@@ -80,13 +89,13 @@ class TestSafetyPhase:
     def test_radius_reduction(self):
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=1.0))
         loop.delta, loop.rho = 1.0, 0.01
-        loop._safety_phase(growing=False)
+        loop._safety_phase(None)
         assert abs(loop.delta - 0.1) < 1e-15
 
     def test_rho_reduction_when_delta_hits_rho(self):
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=1.0))
         loop.delta, loop.rho = 0.01, 0.01
-        loop._safety_phase(growing=False)
+        loop._safety_phase(None)
         assert abs(loop.rho - 0.001) < 1e-15
         assert abs(loop.delta - 0.005) < 1e-15
 
@@ -98,11 +107,88 @@ class TestSafetyPhase:
         assert loop.iset.npt == 3
         xk = loop.iset.base_point()
         old_dirs = np.delete(loop.iset.points, loop.iset.base_index, axis=0) - xk
-        loop._safety_phase(growing=True)
+        lm, _ = fit_model_and_basis(loop.iset)
+        loop._safety_phase(loop._hull(lm))
         assert loop.iset.npt == 4
         new_dir = loop.iset.points[-1] - xk
         assert np.all(np.abs(old_dirs @ new_dir) <= 1e-10)
         assert abs(np.linalg.norm(new_dir) - loop.delta) < 1e-12
+
+    def test_growing_safety_past_n_is_one_random_unit_draw(self):
+        # With p >= n points beyond the base the displacements span R^n: the
+        # step is x_k + delta u for one random_unit draw u, and nothing more
+        # is drawn from the stream.
+        def fun(x):
+            return np.array([float(x @ x), x[0]])
+
+        loop = make_loop(fun, np.zeros(3), SolverParams(delta0=1.0, p_init=3, p=8), seed=5)
+        assert loop._growing() and loop.iset.npt == loop.n + 1
+        lm, _ = fit_model_and_basis(loop.iset)
+        ref = copy.deepcopy(loop.rng)
+        expected = loop.iset.base_point() + loop.delta * random_unit(ref, loop.n)
+        loop._safety_phase(loop._hull(lm))
+        assert loop.iset.npt == loop.n + 2
+        np.testing.assert_array_equal(loop.iset.points[-1], expected)
+        assert loop.rng.bit_generator.state == ref.bit_generator.state
+
+
+def check_growing_complement(n, p, m, bounded, seed):
+    """Fit a random growing set (p < n points beyond the base) and check the
+    safety and perturbed directions drawn from the fit's Q_p; returns whether
+    the trust-region step s left span(D)."""
+    rng = np.random.default_rng(seed)
+    loop = make_loop(lambda x: np.ones(1), np.zeros(n),
+                     SolverParams(delta0=1.0, p_init=1, p=n, growing="perturb"), seed=seed)
+    iset = InterpolationSet(rng.standard_normal((p + 1, n)) * 10.0 ** rng.uniform(-3, 1))
+    for t in range(p + 1):
+        iset.set_value(t, rng.standard_normal(m))
+    iset.rebase()
+    loop.iset = iset
+    xk = iset.base_point()
+    D = np.delete(iset.points, iset.base_index, axis=0) - xk
+    dnorm = np.linalg.norm(D, axis=1)
+    lm, _ = fit_model_and_basis(iset, repair_rank=False)
+    hull = loop._hull(lm)
+    assert hull.shape == (n, p)
+    assert np.linalg.norm(D.T - hull @ (hull.T @ D.T)) <= 1e-10 * np.linalg.norm(D)
+
+    d = orthogonal_complement_direction(hull, rng)
+    assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
+    assert np.all(np.abs(D @ d) <= 1e-10 * dnorm)
+
+    fm = full_model(lm)
+    if bounded:
+        # A box well inside the ball, so that faces cut the step.
+        lower = -0.1 * loop.delta * rng.uniform(0.0, 1.0, n)
+        s = solve_trust_region(fm, loop.delta, lower, 0.1 * loop.delta * rng.uniform(0.0, 1.0, n))
+    else:
+        s = solve_trust_region(fm, loop.delta)
+    snorm = np.linalg.norm(s)
+    leaves = np.linalg.norm(s - hull @ (hull.T @ s)) > RANK_TOL * snorm
+    assert bounded or not leaves  # unbounded, g and H lie in span(Q_p), so s does too
+    state = copy.deepcopy(loop.rng.bit_generator.state)
+    out = loop._perturb(hull, s)
+    if leaves and p == n - 1:
+        # [D; s] spans R^n: no perturbation, and nothing is drawn.
+        assert out is s and loop.rng.bit_generator.state == state
+    elif snorm > 0.0:
+        d = (out - s) / (loop.p.growing_perturb_mult * loop.delta)
+        assert abs(np.linalg.norm(d) - 1.0) <= 1e-10
+        assert np.all(np.abs(D @ d) <= 1e-10 * dnorm)
+        assert abs(s @ d) <= 1e-10 * snorm
+    return leaves
+
+
+class TestGrowingComplement:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), p_frac=st.floats(0.0, 1.0), m=st.integers(1, 24),
+           bounded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_directions_are_orthogonal_to_the_displacements(self, n, p_frac, m, bounded, seed):
+        check_growing_complement(n, min(max(int(p_frac * n), 1), n - 1), m, bounded, seed)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_n100_p30(self, bounded):
+        assert check_growing_complement(100, 30, 120, bounded, seed=0) == bounded
 
 
 class TestEvaluateAveraged:
@@ -908,6 +994,21 @@ class TestSolve:
         result = solve(prob.residual, prob.x0, seed=0,
                        params=SolverParams(max_evals=3000, p_init=1, growing="perturb"))
         assert prob.objective(result.x) < 1e-6
+
+    def test_hook_and_residual_keep_the_points_they_were_given(self):
+        # Neither sees a row of the interpolation set, which changes when its
+        # slot is later replaced.
+        prob = get_problem("rosenbrock")
+        seen = []
+
+        def residual(x):
+            seen.append((x, x.copy()))
+            return prob.residual(x)
+
+        result = solve(residual, prob.x0, seed=0, params=SolverParams(max_evals=200),
+                       eval_hook=lambda k, x, f, n: seen.append((x, x.copy())))
+        assert len(seen) == 2 * result.n_evals
+        assert all(np.array_equal(kept, taken) for kept, taken in seen)
 
     def test_best_ever_is_monotone(self):
         best_seen = [np.inf]

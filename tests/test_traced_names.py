@@ -30,12 +30,16 @@ def test_traced_entry_resolves_under_dfls(entry, owner_path, attr):
 SOLVER_SIDE = ("model", "trustregion", "linalg", "solver")
 MUST_RUN = ("fit_model_and_basis", "lagrange_basis", "geometry_point", "choose_point_to_replace",
             "needs_geometry_improvement", "solve_trust_region")
+MUST_RUN_GROWING = ("solve_min_norm", "clamp_singular_values", "orthogonal_complement_direction")
 
 
-def test_a_dense_solve_calls_each_solver_entry_through_its_module_attribute():
-    # The tracer replaces a function wherever a dfls module holds it. A call
-    # that bypasses those attributes (an inlined body, a cached local) would
-    # leave its traced layer at zero calls.
+def solver_calls(problem, params):
+    """Calls of each solver-side entry in one solve, counted as the tracer wraps them.
+
+    The tracer replaces a function wherever a dfls module holds it. A call
+    that bypasses those attributes (an inlined body, a cached local) would
+    leave its traced layer at zero calls.
+    """
     modules = [m for name, m in sys.modules.items()
                if m is not None and (name == "dfls" or name.startswith("dfls."))]
     calls = Counter()
@@ -58,10 +62,22 @@ def test_a_dense_solve_calls_each_solver_entry_through_its_module_attribute():
             for holder in holders:
                 patched.append((holder, attr, original))
                 setattr(holder, attr, counted(original, attr))
-        prob = dfls.get_problem("osborne1")
-        dfls.solve(prob.residual, prob.x0, seed=0,
-                   params=dfls.SolverParams(max_evals=100 * (prob.n + 1)))
+        prob = dfls.get_problem(problem)
+        dfls.solve(prob.residual, prob.x0, seed=0, params=params(prob.n))
     finally:
         for holder, attr, original in reversed(patched):
             setattr(holder, attr, original)
+    return calls
+
+
+def test_a_dense_solve_calls_each_solver_entry_through_its_module_attribute():
+    calls = solver_calls("osborne1", lambda n: dfls.SolverParams(max_evals=100 * (n + 1)))
     assert [name for name in MUST_RUN if calls[name] == 0] == []
+
+
+def test_a_growing_solve_calls_each_growing_entry_through_its_module_attribute():
+    # Reduced initialization (p_init=1): the growing fit's two QRs and the
+    # safety step's complement direction, as on scalable_n100.
+    calls = solver_calls("broyden_tridiagonal",
+                         lambda n: dfls.SolverParams(p_init=1, max_evals=20 * (n + 1)))
+    assert [name for name in MUST_RUN_GROWING if calls[name] == 0] == []
