@@ -21,7 +21,7 @@ from .bench import (
     run_tasks,
     tau_crit,
 )
-from .params import RestartConfig, SolverParams
+from .params import RestartConfig, SolverParams, resolve_params
 from .problems import DENSE_SET, SCALABLE_SET, NoiseModel, NoisyProblem, get_problem
 from .solver import solve
 
@@ -49,13 +49,16 @@ def _parse_pinit(spec, n):
     raise ValueError(f"unknown pinit choice {spec!r}")
 
 
-def _build_params(d, n, args):
-    """SolverParams from a config-style dict, with the solver flags applied on top.
+def _build_params(d, prob, args):
+    """SolverParams for prob from a config-style dict, with the solver flags applied on top.
 
     The dict takes SolverParams fields plus a "restarts" sub-dict and the
     "regression_points" (p = C(n+1)) and "pinit" shorthands, which is also
-    where the --regression-points and --pinit flags land.
+    where the --regression-points and --pinit flags land. The result is
+    checked by resolve_params against prob before anything runs, so a bad
+    value is a ValueError naming its field, not a failed solve.
     """
+    n = prob.n
     d = dict(d or {})
     restarts = dict(d.pop("restarts", {}))
     if args.restarts is not None:
@@ -71,7 +74,9 @@ def _build_params(d, n, args):
         d["p"] = int(d.pop("regression_points")) * (n + 1)
     if "pinit" in d:
         d["p_init"] = _parse_pinit(str(d.pop("pinit")), n)
-    return replace(SolverParams(**d), restarts=RestartConfig(**restarts))
+    params = replace(SolverParams(**d), restarts=RestartConfig(**restarts))
+    resolve_params(params, n, float(abs(prob.x0).max()))
+    return params
 
 
 def _seed_from(args):
@@ -88,14 +93,14 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seed = _seed_from(args)
+    budget_mult = args.budget_mult if args.budget_mult is not None else 1000
     try:
         noise = _parse_noise(args.noise)
-        params = _build_params({"noisy": not noise.deterministic}, prob.n, args)
+        params = _build_params({"noisy": not noise.deterministic,
+                                "max_evals": int(budget_mult * (prob.n + 1))}, prob, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    budget_mult = args.budget_mult if args.budget_mult is not None else 1000
-    params.max_evals = int(budget_mult * (prob.n + 1))
     problem_fn = prob.residual if noise.deterministic else NoisyProblem(prob, noise, seed=seed)
     try:
         result = solve(problem_fn, prob.x0, bounds=prob.bounds, params=params, seed=seed)
@@ -138,7 +143,7 @@ def cmd_bench(args):
         print("error: config selects no problems", file=sys.stderr)
         return 2
     try:
-        params = {name: _build_params(config.get("solver"), get_problem(name).n, args)
+        params = {name: _build_params(config.get("solver"), get_problem(name), args)
                   for name in problems}
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -180,7 +185,9 @@ def cmd_bench(args):
         else:
             records.append(outcome)
     if not records:
-        print("error: no records produced", file=sys.stderr)
+        why = "".join(f"; {f['problem']} seed {f['seed']} failed: {f['error']}"
+                      for f in failures[:1])
+        print(f"error: no records produced{why}", file=sys.stderr)
         return 2
 
     tc = None

@@ -44,9 +44,9 @@ logger = logging.getLogger("dfls")
 # have to be projected onto the bounds.
 MIN_INITIAL_STEP_FRAC = 1e-3
 
-# Cached square inverse: a rank-one update whose denominator |L_t(y)| is below
-# INVERSE_DENOM_TOL, or an updated inverse whose probe residual
-# ||W (Z v) - v|| / ||v|| exceeds INVERSE_PROBE_TOL, is refactorized from scratch.
+# Cached W^+: an update whose denominator |L_t(y)| (square) is below
+# INVERSE_DENOM_TOL, or sigma (tall) below its square, or an updated W^+ whose
+# probe residual exceeds INVERSE_PROBE_TOL, is refactorized from scratch.
 INVERSE_DENOM_TOL = 1e-3
 INVERSE_PROBE_TOL = 1e-10
 
@@ -59,12 +59,12 @@ class InterpolationSet:
 
     With p >= n points beyond the base the set caches Z = W^+ for rows
     [1, (y_t - b_f)/alpha_f] in a frame (b_f, alpha_f) fixed, and Z tested for
-    finiteness, when Z was factorized. put() keeps a square Z current with one
-    Sherman-Morrison update per replaced point and drops a tall one;
-    pseudo_inverse() maps Z to the current base and radius, so neither a base
-    move nor a radius change needs a hook. refactorizations counts the
-    from-scratch factorizations by cause: "first" use, n+1 "updates" (a tall
-    set allows none), small "denominator", failed "probe".
+    finiteness, when Z was factorized. put() keeps Z current for each replaced
+    point, by a Sherman-Morrison step when square and a rank-two Woodbury step
+    when tall (_update_inverse); pseudo_inverse() maps Z to the current base
+    and radius, so neither a base move nor a radius change needs a hook.
+    refactorizations counts the from-scratch factorizations by cause: "first"
+    use, n+1 "updates" (square only), small "denominator", failed "probe".
 
     base_distances() is computed once per set state: put(), a rebase() that
     moves the base and set_base() drop it, so points and base_index must
@@ -181,35 +181,67 @@ class InterpolationSet:
         self._stale = cause
 
     def _update_inverse(self, t, y):
-        """Sherman-Morrison update of a square Z for row t moving to y.
+        """Update Z in the frame for row t moving to y: O(pn).
 
-        The denominator is L_t(y), the t-th Lagrange polynomial in the frame;
-        column t becomes z_t / L_t(y) and column j loses z_t L_j(y) / L_t(y).
+        ell = w(y)^T Z holds the Lagrange values at y. A square Z takes one
+        Sherman-Morrison step with denominator L_t(y): column t becomes
+        z_t / L_t(y) and column j loses z_t L_j(y) / L_t(y). A tall Z takes
+        Woodbury's rank-two step on G = W^T W, read through Z = G^-1 W^T alone:
+        with ell0 = w(y_t)^T Z, a = Z ell, b = z_t, beta = |ell|^2, h = |ell0|^2
+        and tau = ell_t, the denominator is sigma = (1 + beta)(1 - h) + tau^2
+        (L_t(y)^2 when square, as h = 1), tested against INVERSE_DENOM_TOL^2.
         """
-        if self._updates > self.n or self.npt > self.n + 1:
+        tall = self.npt > self.n + 1
+        if self._updates > self.n and not tall:
             self._drop_inverse("updates")
             return
         Z = self._inv
         base, alpha = self._frame
         ell = Z[0] + ((y - base) / alpha).dot(Z[1:])
-        denom = ell[t]
-        if not abs(denom) >= INVERSE_DENOM_TOL:
-            self._drop_inverse("denominator")
-            return
-        zt = Z[:, t] / denom
-        ell[t] -= 1.0
-        Z -= zt[:, None] * ell
+        if tall:
+            ell0 = Z[0] + ((self.points[t] - base) / alpha).dot(Z[1:])
+            a, b = Z.dot(ell), Z[:, t].copy()
+            beta, h, tau = ell.dot(ell), ell0.dot(ell0), ell[t]
+            sigma = (1.0 + beta) * (1.0 - h) + tau * tau
+            if not sigma >= INVERSE_DENOM_TOL ** 2:
+                self._drop_inverse("denominator")
+                return
+            u = ((1.0 - h) * a + tau * b) / sigma
+            v = (tau * a - (1.0 + beta) * b) / sigma
+            Z -= u[:, None] * ell + v[:, None] * ell0
+            Z[:, t] += a - b - (beta - tau) * u - (tau - h) * v
+        else:
+            denom = ell[t]
+            if not abs(denom) >= INVERSE_DENOM_TOL:
+                self._drop_inverse("denominator")
+                return
+            zt = Z[:, t] / denom
+            ell[t] -= 1.0
+            Z -= zt[:, None] * ell
         self._updates += 1
 
     def _probe_residual(self):
-        """||W (Z v) - v|| / ||v|| for a fixed v, with W in the frame: O(n^2)."""
+        """Moore-Penrose residual of Z for a fixed v, relative to ||v||, in the frame: O(pn).
+
+        Square: ||W (Z v) - v||. Tall, where W Z is only a projection: Z W = I
+        on c = v[:n+1] and W Z symmetric on v, ||Z (W c) - c|| and
+        ||W (Z v) - Z^T (W^T v)||.
+        """
         base, alpha = self._frame
         if self._probe is None or self._probe[0].size != self.npt:
             v = np.cos(np.arange(self.npt))
             self._probe = (v, math.sqrt(float(v.dot(v))))
         v, vnorm = self._probe
-        u = self._inv.dot(v)
-        res = u[0] + ((self.points - base) / alpha).dot(u[1:]) - v
+        Z = self._inv
+        D = (self.points - base) / alpha
+        u = Z.dot(v)
+        WZv = u[0] + D.dot(u[1:])
+        if self.npt > self.n + 1:
+            c = v[:self.n + 1]
+            res = np.concatenate((WZv - np.concatenate(([v.sum()], v.dot(D))).dot(Z),
+                                  Z.dot(c[0] + D.dot(c[1:])) - c))
+        else:
+            res = WZv - v
         return math.sqrt(float(res.dot(res))) / vnorm
 
     def pseudo_inverse(self):

@@ -104,7 +104,10 @@ def nsamples_policy(spec):
     if spec == "restart-scaled":
         return lambda rho, delta, k, n_restarts: min(n_restarts + 1, 30)
     if isinstance(spec, str) and spec.startswith("const:"):
-        const = int(spec.split(":", 1)[1])
+        try:
+            const = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"nsamples {spec!r}: N in const:N must be an integer") from None
         if const < 1:
             raise ValueError("const sample count must be >= 1")
         return lambda rho, delta, k, n_restarts: const

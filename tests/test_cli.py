@@ -69,6 +69,18 @@ class TestSolveCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_evals"] <= 150
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--nsamples", "bogus"), "nsamples policy 'bogus'"),
+        (("--nsamples", "const:abc"), "N in const:N must be an integer"),
+        (("--budget-mult", "0"), "max_evals"),
+        (("--regression-points", "0"), "p >= n"),
+    ])
+    def test_invalid_solver_value_is_usage_error_naming_the_field(self, flags, field):
+        proc = run_cli("solve", "rosenbrock", *flags)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "solver failed" not in proc.stderr
+
 
 class TestBenchCommand:
     def config(self, tmp_path, **overrides):
@@ -145,6 +157,29 @@ class TestBenchCommand:
         proc = run_cli("bench", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "bad solver config" in proc.stderr
+
+    def test_invalid_solver_value_is_usage_error_before_anything_runs(self, tmp_path):
+        out = tmp_path / "out"
+        for solver in ({"nsamples": "bogus"}, {"nsamples": "const:abc"}, {"gamma_dec": 2.0}):
+            proc = run_cli("bench", str(self.config(tmp_path, solver=solver)), "--out", str(out))
+            assert proc.returncode == 2, solver
+            assert "bad solver config" in proc.stderr
+            assert next(iter(solver)) in proc.stderr
+            assert not out.exists()
+
+    def test_no_records_names_a_failure(self, tmp_path, monkeypatch, capsys):
+        from dfls import bench, cli
+
+        def run_one(name, noise, seed, budget_mult, params=None):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(bench, "run_one", run_one)
+        assert cli.main(["bench", str(self.config(tmp_path)), "--out", str(tmp_path / "out"),
+                         "--seed", "0"]) == 2
+        assert "rosenbrock seed 0 failed: overflow" in capsys.readouterr().err
+        assert cli.main(["bench", str(self.config(tmp_path, seeds=0)),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: no records produced\n"
 
     def test_solver_flags_change_records(self, tmp_path):
         cfg = self.config(tmp_path)

@@ -734,14 +734,14 @@ class TestSquareInverseCache:
             if op == "append":
                 assert fresh == 1
                 assert iset.refactorizations["first"] == counts["first"] + 1
-            elif tall:  # every put refactorizes a tall set, and nothing else does
-                assert fresh == (op not in ("rebase", "base"))
-                assert iset.refactorizations["updates"] == counts["updates"] + fresh
+            elif tall:  # a put updates a tall set, with no cap; only a put may refactorize it
+                assert iset.refactorizations["updates"] == counts["updates"]
+                assert fresh <= (op not in ("rebase", "base"))
             elif op == "tiny":
                 assert fresh == 1
                 if since <= n + 1:
                     assert iset.refactorizations["denominator"] == counts["denominator"] + 1
-            if since > n + 1:
+            if since > n + 1 and not tall:
                 assert fresh == 1
             if fresh:
                 since = 0
@@ -812,8 +812,10 @@ class TestSquareInverseCache:
         for a, b in zip(moved, scratch_fit(iset)[0]):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
         iset.put(2, iset.points[2] + 0.1 * random_unit(rng, 3), rng.standard_normal(3))
-        cached_fit(iset)
-        assert iset.refactorizations["updates"] == 1
+        updated = cached_fit(iset)  # a rank-two update, not a fresh factorization
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 0, "probe": 0}
+        for a, b in zip(updated, scratch_fit(iset)[0]):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_square_build_linear_model_reads_the_cached_inverse(self):
         rng = np.random.default_rng(24)
@@ -825,3 +827,74 @@ class TestSquareInverseCache:
         np.testing.assert_allclose(lm.J, reference[1], rtol=1e-12, atol=1e-12)
         cached_fit(iset)
         assert iset.refactorizations["first"] == 1
+
+
+def tall_set(n, rng):
+    """A square set plus random points up to 5(n+1) + 1 in all, rebased."""
+    iset = square_set(n, rng)
+    for t in range(iset.npt, 5 * (n + 1) + 1):
+        iset.put(t, rng.uniform(0.2, 1.0) * random_unit(rng, n), rng.standard_normal(3))
+    iset.rebase()
+    return iset
+
+
+def assert_matches_scratch(iset, rtol):
+    reference, _ = scratch_fit(iset)
+    for a, b in zip(cached_fit(iset), reference):
+        assert np.linalg.norm(a - b) <= rtol * max(np.linalg.norm(b), 1.0)
+
+
+class TestTallInverseUpdate:
+    def test_small_sigma_refactorizes(self):
+        # Slot 5 is the only point off the plane x_3 = 0, so its leverage h is
+        # 1 and sigma = L_5(y)^2: below INVERSE_DENOM_TOL^2 for a y near the plane.
+        rng = np.random.default_rng(31)
+        pts = np.vstack([np.zeros(3), np.eye(3)[:2], -np.eye(3)[:2], [[0.2, 0.3, 0.8]],
+                         np.hstack([rng.uniform(-1, 1, (6, 2)), np.zeros((6, 1))])])
+        iset = make_set(pts, rng.standard_normal((pts.shape[0], 3)))
+        cached_fit(iset)
+        y = point_with_lagrange_value(iset, 5, 0.5 * INVERSE_DENOM_TOL)
+        iset.put(5, y, rng.standard_normal(3))
+        assert_matches_scratch(iset, 1e-9)
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 1, "probe": 0}
+
+    def test_probe_catches_a_write_that_bypasses_put(self):
+        rng = np.random.default_rng(32)
+        iset = tall_set(3, rng)
+        cached_fit(iset)
+        iset.put(3, iset.points[3] + 0.3 * random_unit(rng, 3), rng.standard_normal(3))
+        cached_fit(iset)
+        iset.points[7] += 0.4 * random_unit(rng, 3)
+        assert_matches_scratch(iset, 1e-9)
+        assert iset.refactorizations == {"first": 1, "updates": 0, "denominator": 0, "probe": 1}
+
+    def test_probe_catches_a_left_inverse_that_is_not_the_pseudo_inverse(self):
+        # Z + F (I - W Z) still satisfies Z W = I; only the symmetry of W Z shows it.
+        rng = np.random.default_rng(33)
+        iset = tall_set(4, rng)
+        cached_fit(iset)
+        iset.put(2, iset.points[2] + 0.2 * random_unit(rng, 4), rng.standard_normal(3))
+        cached_fit(iset)
+        base, alpha = iset._frame
+        W = np.hstack([np.ones((iset.npt, 1)), (iset.points - base) / alpha])
+        F = 1e-6 * rng.standard_normal(iset._inv.shape)
+        iset._inv += F @ (np.eye(iset.npt) - W @ iset._inv)
+        np.testing.assert_allclose(iset._inv @ W, np.eye(5), atol=1e-12)
+        assert_matches_scratch(iset, 1e-9)
+        assert iset.refactorizations["probe"] == 1
+
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_chained_replacements_match_lstsq(self, n):
+        rng = np.random.default_rng(34 + n)
+        iset = tall_set(n, rng)
+        assert iset.npt - 1 == 5 * (n + 1)
+        cached_fit(iset)
+        for _ in range(300):
+            t = int(rng.integers(iset.npt))
+            y = iset.base_point() + rng.uniform(0.2, 1.0) * random_unit(rng, n)
+            iset.put(t, y, rng.standard_normal(3))
+            iset.rebase()
+            cached_fit(iset)
+        assert_matches_scratch(iset, CACHE_RTOL)
+        assert iset.refactorizations["updates"] == iset.refactorizations["denominator"] == 0
+        assert iset.refactorizations["first"] + iset.refactorizations["probe"] < 30

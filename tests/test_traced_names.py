@@ -31,6 +31,8 @@ SOLVER_SIDE = ("model", "trustregion", "linalg", "solver")
 MUST_RUN = ("fit_model_and_basis", "lagrange_basis", "geometry_point", "choose_point_to_replace",
             "needs_geometry_improvement", "solve_trust_region")
 MUST_RUN_GROWING = ("solve_min_norm", "clamp_singular_values", "orthogonal_complement_direction")
+MUST_RUN_TALL = ("solve_regression", "fit_model_and_basis", "lagrange_basis",
+                 "choose_point_to_replace")
 
 
 def solver_calls(problem, params):
@@ -81,3 +83,11 @@ def test_a_growing_solve_calls_each_growing_entry_through_its_module_attribute()
     calls = solver_calls("broyden_tridiagonal",
                          lambda n: dfls.SolverParams(p_init=1, max_evals=20 * (n + 1)))
     assert [name for name in MUST_RUN_GROWING if calls[name] == 0] == []
+
+
+def test_a_tall_solve_calls_each_regression_entry_through_its_module_attribute():
+    # p = 5(n+1) regression points, as on dense_noisy_regression: the first
+    # factorization of every tall set goes through solve_regression.
+    calls = solver_calls("osborne1",
+                         lambda n: dfls.SolverParams(p=5 * (n + 1), max_evals=30 * (n + 1)))
+    assert [name for name in MUST_RUN_TALL if calls[name] == 0] == []
