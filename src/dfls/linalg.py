@@ -5,6 +5,7 @@ explicit ``numpy.random.Generator``.
 """
 
 import logging
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -15,6 +16,8 @@ __all__ = [
     "solve_regression",
     "solve_min_norm",
     "clamp_singular_values",
+    "repair_level",
+    "qr_append_column",
     "linear_fit",
     "random_orthonormal",
     "random_unit",
@@ -79,15 +82,14 @@ def solve_min_norm(W, B):
 def clamp_singular_values(C, r, k):
     """Rank repair of a rank-p Jacobian J = C Q^T, Q (n x p) with orthonormal columns.
 
-    Returns (level, gram, y) from one Householder QR [C, r] = Q_C R in LAPACK's
-    raw form: gram = C^T C (as R_C^T R_C), level = sigma_p, the smallest
-    singular value of C (those of its p x p factor R_C), and y = U^T r, U the
-    k complement columns p.. of the complete Householder Q of C. For N (n x k)
-    with orthonormal columns orthogonal to Q, J + level U N^T keeps the singular
-    triplets of J and has k more singular values equal to level, so it has rank
-    p + k; its gradient and Gauss-Newton Hessian are Q C^T r + level N y and
-    Q gram Q^T + level^2 N N^T. If sigma_p is below RANK_TOL sigma_1 the level
-    is 1.0 instead, and a diagnostic is logged.
+    Returns (level, gram, y, Qc, Rc) from one complete Householder QR
+    C = Qc [Rc; 0]: Qc is m x m, Rc p x p, gram = C^T C (as Rc^T Rc),
+    level = repair_level(Rc), and y = U^T r for U = Qc[:, p:p+k], the first k
+    complement columns. For N (n x k) with orthonormal columns orthogonal to Q,
+    J + level U N^T keeps the singular triplets of J and has k more singular
+    values equal to level, so it has rank p + k; its gradient and Gauss-Newton
+    Hessian are Q C^T r + level N y and Q gram Q^T + level^2 N N^T. Qc and Rc
+    are what qr_append_column updates when C gains a column.
 
     C is m x p with 1 <= k <= m - p.
     """
@@ -95,20 +97,47 @@ def clamp_singular_values(C, r, k):
     m, p = C.shape
     if not 1 <= k <= m - p:
         raise ValueError("need 1 <= k <= m - p")
-    h, tau = np.linalg.qr(np.column_stack([C, r]), mode="raw")
-    h = h.T  # R on and above the diagonal, reflectors below it
-    Rc = np.triu(h[:p, :p])
+    Qc, R = np.linalg.qr(C, mode="complete")
+    Rc = R[:p]
+    return repair_level(Rc), Rc.T @ Rc, Qc[:, p:p + k].T @ r, Qc, Rc
+
+
+def repair_level(Rc):
+    """sigma_p, the smallest singular value of the p x p factor Rc (values-only SVD).
+
+    If sigma_p is below RANK_TOL sigma_1 the level is 1.0 instead, and a
+    diagnostic is logged.
+    """
     sigma = np.linalg.svd(Rc, compute_uv=False)
     level = float(sigma[-1])
     if level < RANK_TOL * max(sigma[0], 1e-300):
-        level = 1.0
         logger.warning("rank repair fallback: smallest singular value below tolerance")
-    # Column p's reflector I - tau v v^T (v_0 = 1) maps w = (Q_C^T r)[p:] to
-    # beta e_1; it is its own inverse, so w = beta (e_1 - tau v).
-    beta, t = h[p, p], tau[p]
-    y = -beta * t * h[p:p + k, p]
-    y[0] = beta * (1.0 - t)
-    return level, Rc.T @ Rc, y
+        return 1.0
+    return level
+
+
+def qr_append_column(Q, p, a):
+    """Complete QR of [A, a] from the complete QR A = Q [R; 0] of an N x p matrix A.
+
+    Golub & Van Loan's column append: z = Q^T a, then one Householder
+    reflector H (LAPACK's dlarfg convention) maps z[p:] to beta e_1. Returns
+    (Q H', z') with H' = diag(I_p, H), which differs from Q in columns p..
+    only, and z' = (z[:p], beta), the new column of R down to its diagonal.
+    O(N^2); Q is not modified. Needs p < N.
+    """
+    z = Q.T.dot(a)
+    w = z[p:]
+    alpha = w[0]
+    xnorm = math.sqrt(float(w[1:].dot(w[1:])))
+    Q = Q.copy()
+    if xnorm > 0.0:
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        v = w / (alpha - beta)
+        v[0] = 1.0
+        T = Q[:, p:]
+        T -= np.outer(T.dot(v) * ((beta - alpha) / beta), v)
+        z[p] = beta
+    return Q, z[:p + 1]
 
 
 def linear_fit(points):

@@ -15,10 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     DegenerateSetError,
     clamp_singular_values,
+    qr_append_column,
     random_orthonormal,
     random_unit,
+    repair_level,
     solve_min_norm,
     solve_regression,
 )
@@ -46,9 +49,24 @@ MIN_INITIAL_STEP_FRAC = 1e-3
 
 # Cached W^+: an update whose denominator |L_t(y)| (square) is below
 # INVERSE_DENOM_TOL, or sigma (tall) below its square, or an updated W^+ whose
-# probe residual exceeds INVERSE_PROBE_TOL, is refactorized from scratch.
+# probe residual exceeds INVERSE_PROBE_TOL, is refactorized from scratch. So
+# are a growing set's kept factors when their probe residual exceeds it.
 INVERSE_DENOM_TOL = 1e-3
 INVERSE_PROBE_TOL = 1e-10
+
+
+@dataclass
+class _GrowingFactors:
+    """A growing set's factors, J = C Q[:, :p]^T with C's complete QR for the repair."""
+
+    Q: np.ndarray          # (n, n) orthogonal; Q[:, :p] spans the displacements
+    C: np.ndarray          # (m, p)
+    gram: np.ndarray       # C^T C
+    rdiag: tuple           # (min, max) of |diag R| in the displacements' QR
+    repair: bool           # factorized for a rank repair
+    Qc: np.ndarray         # (m, m) complete Householder factor of C, or None
+    Rc: np.ndarray         # (p, p) its triangle, or None
+    level: float           # repair_level(Rc) once computed, or None
 
 
 class InterpolationSet:
@@ -65,6 +83,14 @@ class InterpolationSet:
     and radius, so neither a base move nor a radius change needs a hook.
     refactorizations counts the from-scratch factorizations by cause: "first"
     use, n+1 "updates" (square only), small "denominator", failed "probe".
+
+    With p < n points beyond the base the set keeps the growing model's
+    factors instead (min_norm_model): an append updates them in O(n^2 + m^2)
+    and a base move leaves them as they are, since J, and with it Q_p, C, C^T C
+    and sigma_p, do not depend on the base. growing_refactorizations counts
+    their from-scratch factorizations by cause: "first" use, a "replaced"
+    point, an appended displacement that fails the "rank" test, a failed
+    "probe".
 
     base_distances() is computed once per set state: put(), a rebase() that
     moves the base and set_base() drop it, so points and base_index must
@@ -92,6 +118,9 @@ class InterpolationSet:
         self._dist = None          # distances from the base point, or None
         self._probe = None         # the probe vector v of _probe_residual and ||v||
         self.refactorizations = {"first": 0, "updates": 0, "denominator": 0, "probe": 0}
+        self._grown = None         # _GrowingFactors while p < n, or None
+        self._grown_stale = "first"  # cause of the next growing factorization
+        self.growing_refactorizations = {"first": 0, "replaced": 0, "rank": 0, "probe": 0}
 
     @property
     def npt(self):
@@ -163,7 +192,8 @@ class InterpolationSet:
     def put(self, t, point, value, n_samples=1):
         """Write point and value into slot t (t == npt appends); no rebase."""
         self._dist = None
-        if t == self.npt:
+        appended = t == self.npt
+        if appended:
             self.points = np.vstack([self.points, point])
             self._fvals = np.append(self._fvals, np.inf)
             self.sample_counts = np.append(self.sample_counts, 1)
@@ -175,10 +205,125 @@ class InterpolationSet:
                 self._update_inverse(t, np.asarray(point, dtype=float))
             self.points[t] = point
         self.set_value(t, value, n_samples)
+        if appended:
+            if self._grown is not None:
+                self._append_growing(t)
+        elif self._grown is not None or self._grown_stale != "first":
+            self._drop_growing("replaced")  # also after a failed from-scratch fit
+
+    def factorization_counts(self):
+        """refactorizations, then growing_refactorizations with keys "growing_<cause>"."""
+        counts = dict(self.refactorizations)
+        counts.update(("growing_" + cause, c) for cause, c in self.growing_refactorizations.items())
+        return counts
 
     def _drop_inverse(self, cause):
         self._inv = None
         self._stale = cause
+
+    def _drop_growing(self, cause):
+        self._grown = None
+        self._grown_stale = cause
+
+    def _append_growing(self, t):
+        """Update the growing factors for the point appended at slot t: O(n^2 + m^2).
+
+        With d = y_t - x_k, Q gains one reflector (qr_append_column) and C the
+        column c = (v_t - r_k - C R[:p, p]) / R[p, p], so that J d = v_t - r_k
+        and J keeps its values on the old displacements; C^T C is bordered and
+        C's complete QR gains one reflector too. A set that is full now drops
+        the factors; a |R[p, p]| that fails solve_min_norm's RANK_TOL test
+        against the others drops them for a from-scratch fit.
+        """
+        f = self._grown
+        p = t - 1  # displacements before the append
+        if t >= self.n:
+            self._grown = None
+            return
+        Q, z = qr_append_column(f.Q, p, self.points[t] - self.base_point())
+        beta = abs(z[p])
+        rdiag = (min(f.rdiag[0], beta), max(f.rdiag[1], beta))
+        if not rdiag[0] > RANK_TOL * rdiag[1]:
+            self._drop_growing("rank")
+            return
+        c = (self.values[t] - self.base_value() - f.C.dot(z[:p])) / z[p]
+        C = np.column_stack((f.C, c))
+        gram = np.empty((p + 1, p + 1))
+        gram[:p, :p] = f.gram
+        gram[p, :p] = gram[:p, p] = f.C.T.dot(c)
+        gram[p, p] = c.dot(c)
+        Qc = Rc = None
+        if f.Qc is not None and min(self.n, self.m) - t >= 1:
+            Qc, zc = qr_append_column(f.Qc, p, c)
+            Rc = np.zeros((p + 1, p + 1))
+            Rc[:p, :p] = f.Rc
+            Rc[:, p] = zc
+        self._grown = _GrowingFactors(Q, C, gram, rdiag, f.repair, Qc, Rc, None)
+
+    def min_norm_model(self, alpha, repair_rank):
+        """The growing model (p < n) from the kept factors, or from scratch.
+
+        Kept factors serve a fit once they pass _growing_probe_passes; the
+        fit is then O(mk) for y = U^T r, and repair_level runs once per factor
+        state. The from-scratch fit is solve_min_norm and
+        clamp_singular_values, counted by cause when it runs.
+        """
+        f = self._grown
+        if f is not None and repair_rank and not f.repair:
+            self._drop_growing("first")
+        elif f is not None and not self._growing_probe_passes(f):
+            self._drop_growing("probe")
+        r = self.base_value().copy()
+        m, p = r.size, self.npt - 1
+        k = min(self.n, m) - p if repair_rank else 0
+        if self._grown is None:
+            self.growing_refactorizations[self._grown_stale] += 1
+            b = self.base_index
+            D = np.delete(self.points, b, axis=0) - self.base_point()
+            Q, Y = solve_min_norm(D, np.delete(self.values, b, axis=0) - r)
+            self._grown_stale = "first"
+            C = Y.T
+            rdiag = np.abs(np.einsum("ij,ji->i", D, Q[:, :p]))
+            if k > 0:
+                level, gram, _, Qc, Rc = clamp_singular_values(C, r, k)
+            else:
+                level, gram, Qc, Rc = 0.0, C.T @ C, None, None
+            self._grown = _GrowingFactors(Q, C, gram, (rdiag.min(), rdiag.max()), repair_rank,
+                                          Qc, Rc, level)
+        f = self._grown
+        if k > 0:
+            U = f.Qc[:, p:p + k]
+            if f.level is None:
+                f.level = repair_level(f.Rc)
+            return MinNormModel(r, alpha, f.Q, f.C, f.gram, f.level, U.T.dot(r), U)
+        return MinNormModel(r, alpha, f.Q, f.C, f.gram, 0.0, np.empty(0), np.empty((m, 0)))
+
+    def _growing_probe_passes(self, f):
+        """Probe of the kept factors f against the set for the fixed v: O((n + m) p).
+
+        With D the displacements from the base, dV the value differences,
+        u = D^T v and a = Q_p^T u: Q_p must hold u (||u - Q_p a|| <=
+        INVERSE_PROBE_TOL ||u||) and J = C Q_p^T must interpolate
+        (||C a - dV^T v|| <= INVERSE_PROBE_TOL (||C||_F ||a|| + ||dV^T v||)).
+        """
+        v = self._probe_vector()[0]
+        Qp = f.Q[:, :self.npt - 1]
+        u = v.dot(self.points - self.base_point())
+        a = u.dot(Qp)
+        span = u - Qp.dot(a)
+        e = v.dot(self.values - self.base_value())
+        fit = f.C.dot(a) - e
+        return (math.sqrt(float(span.dot(span))) <= INVERSE_PROBE_TOL * math.sqrt(float(u.dot(u)))
+                and math.sqrt(float(fit.dot(fit))) <= INVERSE_PROBE_TOL * (
+                    math.sqrt(float(np.trace(f.gram)) * float(a.dot(a)))
+                    + math.sqrt(float(e.dot(e)))))
+
+    def _probe_vector(self):
+        """(v, ||v||) for v = cos(0, 1, .., npt - 1), cached per set size."""
+        if self._probe is None or self._probe[0].size != self.npt:
+            v = np.cos(np.arange(self.npt))
+            self._probe = (v, math.sqrt(float(v.dot(v))))
+        return self._probe
 
     def _update_inverse(self, t, y):
         """Update Z in the frame for row t moving to y: O(pn).
@@ -228,10 +373,7 @@ class InterpolationSet:
         ||W (Z v) - Z^T (W^T v)||.
         """
         base, alpha = self._frame
-        if self._probe is None or self._probe[0].size != self.npt:
-            v = np.cos(np.arange(self.npt))
-            self._probe = (v, math.sqrt(float(v.dot(v))))
-        v, vnorm = self._probe
+        v, vnorm = self._probe_vector()
         Z = self._inv
         D = (self.points - base) / alpha
         u = Z.dot(v)
@@ -308,8 +450,9 @@ class MinNormModel:
 
     J = C Q_p^T + level U N^T: Q = [Q_p, N, ...] is the complete orthogonal
     factor of the displacements' QR (Q_p spans them), U the k = y.size
-    complement columns of C's Householder QR, and y = U^T r (k = 0 without a
-    rank repair). gauss_newton() never forms J; reading J does, once.
+    complement columns of C's complete Householder factor, and y = U^T r
+    (k = 0 without a rank repair). gauss_newton() never forms J; reading J
+    does, once.
     """
 
     r: np.ndarray          # (m,)
@@ -319,25 +462,33 @@ class MinNormModel:
     gram: np.ndarray       # C^T C
     level: float
     y: np.ndarray          # (k,)
+    U: np.ndarray          # (m, k)
 
     @cached_property
     def J(self):
         p, k = self.C.shape[1], self.y.size
         J = self.C @ self.Q[:, :p].T
         if k:
-            U = np.linalg.qr(self.C, mode="complete")[0][:, p:p + k]
-            J += self.level * (U @ self.Q[:, p:p + k].T)
+            J += self.level * (self.U @ self.Q[:, p:p + k].T)
         return J
 
     def gauss_newton(self):
-        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T)."""
-        p, k = self.C.shape[1], self.y.size
-        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
-        Jtr = Qp @ (self.C.T @ self.r)
-        JtJ = (Qp @ self.gram) @ Qp.T
-        if k:
-            Jtr += self.level * (N @ self.y)
-            JtJ += self.level ** 2 * (N @ N.T)
+        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T).
+
+        With the full complement (p + k = n) N N^T is I - Q_p Q_p^T, so
+        J^T J = Q_p (gram - level^2 I) Q_p^T + level^2 I and N N^T is never formed.
+        """
+        (n, _), (p, k) = self.Q.shape, (self.C.shape[1], self.y.size)
+        Qp = self.Q[:, :p]
+        Jtr = Qp.dot(self.C.T.dot(self.r))
+        if not k:
+            return Jtr, Qp.dot(self.gram).dot(Qp.T)
+        N, level2 = self.Q[:, p:p + k], self.level ** 2
+        Jtr += self.level * N.dot(self.y)
+        if p + k < n:
+            return Jtr, Qp.dot(self.gram).dot(Qp.T) + level2 * N.dot(N.T)
+        JtJ = Qp.dot(self.gram - level2 * np.eye(p)).dot(Qp.T)
+        JtJ.flat[::n + 1] += level2
         return Jtr, JtJ
 
 
@@ -479,8 +630,10 @@ def fit_model_and_basis(iset, repair_rank=True):
     D J^T = dV, D the p x n displacements from the base and dV the value
     differences. Its rank p is then repaired (unless repair_rank is false, for
     the perturbed-step growing variant) by raising min(n, m) - p more singular
-    values to sigma_p along the complements of the two QRs. r and J are not
-    tested for finiteness here; a non-finite one shows in full_model's g or H.
+    values to sigma_p along the complements of the two QRs, which the set
+    keeps across appends and base moves (InterpolationSet.min_norm_model). r
+    and J are not tested for finiteness here; a non-finite one shows in
+    full_model's g or H.
     """
     p = iset.npt - 1
     if p >= iset.n:
@@ -490,17 +643,7 @@ def fit_model_and_basis(iset, repair_rank=True):
     alpha = set_radius(iset)
     if alpha <= 0.0:
         raise DegenerateSetError("degenerate interpolation set")
-    b = iset.base_index
-    r = iset.base_value().copy()
-    D = np.delete(iset.points, b, axis=0) - iset.base_point()
-    Q, Y = solve_min_norm(D, np.delete(iset.values, b, axis=0) - r)
-    C = Y.T
-    k = min(iset.n, r.size) - p if repair_rank else 0
-    if k > 0:
-        level, gram, y = clamp_singular_values(C, r, k)
-    else:
-        level, gram, y = 0.0, C.T @ C, np.empty(0)
-    return MinNormModel(r, alpha, Q, C, gram, level, y), None
+    return iset.min_norm_model(alpha, repair_rank), None
 
 
 def _bounds_arrays(bounds, n):

@@ -240,14 +240,21 @@ def _meyer(x):
     return x[0] * np.exp(x[1] / (t + x[2])) - _MEYER_Y
 
 
+_WATSON_POWERS = {}  # n -> per row i: (t^0 .. t^(n-2), t^0 .. t^(n-1)), t = i/29
+
+
 def _watson(x):
     n = x.size
+    powers = _WATSON_POWERS.get(n)
+    if powers is None:
+        powers = _WATSON_POWERS[n] = [(t ** np.arange(n - 1), t ** np.arange(n))
+                                      for t in (i / 29.0 for i in range(1, 30))]
+    dx = np.arange(1, n) * x[1:]
     out = np.zeros(31)
-    for i in range(1, 30):
-        t = i / 29.0
-        s1 = float((np.arange(1, n) * x[1:]) @ t ** np.arange(n - 1))
-        s2 = float(x @ t ** np.arange(n))
-        out[i - 1] = s1 - s2 * s2 - 1.0
+    for i, (tp1, tp) in enumerate(powers):
+        s1 = float(dx @ tp1)
+        s2 = float(x @ tp)
+        out[i] = s1 - s2 * s2 - 1.0
     out[29] = x[0]
     out[30] = x[1] - x[0] ** 2 - 1.0
     return out

@@ -25,6 +25,7 @@ from .linalg import (
     random_unit,
 )
 from .model import (
+    InterpolationSet,
     _bounds_arrays,
     build_initial_set,
     choose_point_to_replace,
@@ -73,7 +74,8 @@ class Results:
 
     diagnostics["eval_failures"] counts failed evaluations by exception type
     name or "nonfinite"; diagnostics["refactorizations"] the run's
-    interpolation factorizations by cause (InterpolationSet.refactorizations).
+    interpolation factorizations by cause (InterpolationSet.factorization_counts:
+    full sets' causes, then growing sets' as "growing_<cause>").
     """
 
     x: np.ndarray
@@ -512,7 +514,9 @@ class _Loop:
         fresh = build_initial_set(old.base_point(), self.p.delta0, self.p.p, self.bounds,
                                   self.rng)
         fresh.set_value(0, old.base_value(), old.sample_counts[old.base_index])
-        fresh.refactorizations = old.refactorizations  # the run's counts go on
+        # The run's counts go on.
+        fresh.refactorizations = old.refactorizations
+        fresh.growing_refactorizations = old.growing_refactorizations
         self._fill_initial_values(fresh)
         self.iset = fresh
 
@@ -679,7 +683,7 @@ class _Loop:
             "delta": self.delta,
             "rho": self.rho,
             "eval_failures": dict(self.eval_failures),
-            "refactorizations": dict(self.iset.refactorizations),
+            "refactorizations": self.iset.factorization_counts(),
         }
         if self.trace is not None:
             diagnostics["trace"] = self.trace
@@ -768,4 +772,5 @@ def _evaluate_fixed_point(residuals, x, eval_hook):
         eval_hook(1, x.copy(), f, 1)
     return Results(x=x, f=f, n_evals=1, exit_flag=EXIT_SMALL_TRUST_REGION,
                    diagnostics={"iterations": 0, "n_restarts": 0, "eval_failures": {},
-                                "refactorizations": {}})
+                                "refactorizations":
+                                    InterpolationSet(x).factorization_counts()})

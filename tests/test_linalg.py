@@ -6,6 +6,7 @@ from dfls.linalg import (
     clamp_singular_values,
     linear_fit,
     orthogonal_complement_direction,
+    qr_append_column,
     random_orthonormal,
     solve_min_norm,
     solve_regression,
@@ -114,8 +115,10 @@ def repaired(C, r, Q):
     """
     (m, p), n = C.shape, Q.shape[0]
     k = min(m, n) - p
-    level, gram, y = clamp_singular_values(C, r, k)
+    level, gram, y, Qc, Rc = clamp_singular_values(C, r, k)
     np.testing.assert_allclose(gram, C.T @ C, atol=1e-12 * max(1.0, np.abs(C).max()) ** 2)
+    np.testing.assert_allclose(Qc.T @ Qc, np.eye(m), atol=1e-12)
+    np.testing.assert_allclose(Qc[:, :p] @ Rc, C, atol=1e-12 * max(1.0, np.abs(C).max()))
     U = np.linalg.qr(C, mode="complete")[0][:, p:p + k]
     return C @ Q[:, :p].T + level * (U @ Q[:, p:p + k].T), level, y
 
@@ -180,19 +183,41 @@ class TestClampSingularValues:
         np.testing.assert_allclose(sv, [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_y_holds_the_complement_coordinates_of_r(self):
-        # y = U^T r is read off the reflector of r's column, for any k.
+        # y = U^T r over the first k complement columns of C's complete QR, for any k.
         rng = np.random.default_rng(13)
         for m, p in ((9, 3), (4, 3), (12, 1)):
             C = rng.standard_normal((m, p))
             r = rng.standard_normal(m)
             full = np.linalg.qr(C, mode="complete")[0].T @ r
             for k in range(1, m - p + 1):
-                _, _, y = clamp_singular_values(C, r, k)
+                y = clamp_singular_values(C, r, k)[2]
                 np.testing.assert_allclose(y, full[p:p + k], atol=1e-12)
 
     def test_needs_room_for_the_complement(self):
         with pytest.raises(ValueError):
             clamp_singular_values(np.ones((3, 2)), np.ones(3), 2)
+
+
+class TestQrAppendColumn:
+    @pytest.mark.parametrize("N, p", [(2, 1), (5, 5), (7, 4), (30, 29)])
+    def test_appended_columns_give_the_householder_qr(self, N, p):
+        # Column by column from Q = I, the factors are LAPACK's complete QR of
+        # the whole matrix: the same reflectors, in the same sign convention.
+        A = np.random.default_rng(21 + N).standard_normal((N, p))
+        Q, R = np.eye(N), np.zeros((p, p))
+        for j in range(p):
+            before = Q.copy()
+            Q, R[:j + 1, j] = qr_append_column(Q, j, A[:, j])
+            np.testing.assert_array_equal(Q[:, :j], before[:, :j])
+        Qf, Rf = np.linalg.qr(A, mode="complete")
+        np.testing.assert_allclose(Q, Qf, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(R, Rf[:p], rtol=0, atol=1e-12)
+
+    def test_leaves_its_input_alone(self):
+        Q = np.linalg.qr(np.random.default_rng(22).standard_normal((6, 6)))[0]
+        kept = Q.copy()
+        qr_append_column(Q, 2, np.arange(6.0))
+        np.testing.assert_array_equal(Q, kept)
 
 
 class TestLinearFit:

@@ -898,3 +898,142 @@ class TestTallInverseUpdate:
         assert_matches_scratch(iset, CACHE_RTOL)
         assert iset.refactorizations["updates"] == iset.refactorizations["denominator"] == 0
         assert iset.refactorizations["first"] + iset.refactorizations["probe"] < 30
+
+
+def fresh_growing_fit(iset):
+    """fit_model_and_basis of a new set with the same points, values and base."""
+    return fit_model_and_basis(InterpolationSet(iset.points, iset.values,
+                                                base_index=iset.base_index))[0]
+
+
+def assert_kept_factors_match_a_fresh_fit(iset):
+    """The kept factors' fit against a from-scratch fit of the same set (p < n).
+
+    Q_p, C and gram are basis-dependent, so C Q_p^T and Q_p gram Q_p^T are
+    compared; sigma_p and, with the full complement, H are basis-free.
+    """
+    lm = fit_model_and_basis(iset)[0]
+    ref = fresh_growing_fit(iset)
+    n, p = iset.n, iset.npt - 1
+    Qp, Rp = lm.Q[:, :p], ref.Q[:, :p]
+    np.testing.assert_allclose(lm.Q.T @ lm.Q, np.eye(n), rtol=0, atol=1e-12)
+    D = np.delete(iset.points, iset.base_index, axis=0) - iset.base_point()
+    assert np.linalg.norm(D - (D @ Qp) @ Qp.T) <= 1e-10 * np.linalg.norm(D)
+    assert_close_rel(lm.C @ Qp.T, ref.C @ Rp.T, 1e-10)
+    assert_close_rel(lm.gram, lm.C.T @ lm.C, 1e-10)
+    assert_close_rel(Qp @ lm.gram @ Qp.T, Rp @ ref.gram @ Rp.T, 1e-10)
+    assert lm.level == pytest.approx(ref.level, rel=1e-10)
+    assert lm.y.size == ref.y.size
+    if lm.y.size == n - p:
+        assert_close_rel(full_model(lm).H, full_model(ref).H, 1e-10)
+    return lm
+
+
+class TestGrowingFactorUpdate:
+    """A growing set keeps its two QRs across appends and base moves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), m_frac=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.sampled_from(["append", "base", "replace", "fit"]), max_size=30))
+    def test_kept_factors_match_a_fresh_fit(self, n, m_frac, seed, ops):
+        rng = np.random.default_rng(seed)
+        m = max(int(m_frac * n), 1)
+        scale = 10.0 ** rng.uniform(-3, 1)
+        center = rng.standard_normal(n)
+
+        def point():
+            return center + scale * rng.standard_normal(n)
+
+        iset = make_set([point(), point()], rng.standard_normal((2, m)))
+        fit_model_and_basis(iset)
+        replaced = 0
+        for op in ops:
+            if op == "append" and iset.npt < n:
+                iset.put(iset.npt, point(), rng.standard_normal(m))
+            elif op == "base":
+                iset.set_base(int(rng.integers(iset.npt)))
+            elif op == "replace":
+                t = int(rng.integers(iset.npt))
+                iset.put(t, point(), rng.standard_normal(m))
+                replaced += 1
+            elif op == "fit":
+                assert_kept_factors_match_a_fresh_fit(iset)
+        assert_kept_factors_match_a_fresh_fit(iset)
+        counts = iset.growing_refactorizations
+        assert counts["probe"] == counts["rank"] == 0
+        assert counts["first"] == 1 and counts["replaced"] <= replaced
+
+    def test_n100_p30(self):
+        # scalable_n100's size: appends from p = 1 to 30 with a base move
+        # every fifth append and one replaced point, m = 120.
+        rng = np.random.default_rng(41)
+        n, m = 100, 120
+        iset = make_set(rng.standard_normal((2, n)), rng.standard_normal((2, m)))
+        fit_model_and_basis(iset)
+        while iset.npt < 31:
+            iset.put(iset.npt, iset.base_point() + 0.1 * random_unit(rng, n),
+                     rng.standard_normal(m))
+            if iset.npt % 5 == 0:
+                iset.set_base(int(rng.integers(iset.npt)))
+            if iset.npt == 20:
+                iset.put(7, iset.base_point() + 0.1 * random_unit(rng, n), rng.standard_normal(m))
+            fit_model_and_basis(iset)
+        lm = assert_kept_factors_match_a_fresh_fit(iset)
+        assert lm.y.size == n - 30
+        assert iset.growing_refactorizations == {"first": 1, "replaced": 1, "rank": 0,
+                                                 "probe": 0}
+
+    def test_a_base_move_changes_only_r_and_y(self):
+        rng = np.random.default_rng(42)
+        iset = make_set(rng.standard_normal((4, 6)), rng.standard_normal((4, 8)))
+        before = fit_model_and_basis(iset)[0]
+        iset.set_base((iset.base_index + 1) % 4)
+        after = fit_model_and_basis(iset)[0]
+        assert after.Q is before.Q and after.C is before.C and after.gram is before.gram
+        assert after.level == before.level
+        np.testing.assert_array_equal(after.r, iset.base_value())
+        np.testing.assert_allclose(after.y, after.U.T @ after.r, rtol=1e-14)
+        assert iset.growing_refactorizations["first"] == 1
+
+    def test_probe_catches_a_write_that_bypasses_put(self):
+        rng = np.random.default_rng(43)
+        iset = make_set(rng.standard_normal((3, 6)), rng.standard_normal((3, 7)))
+        fit_model_and_basis(iset)
+        iset.put(3, rng.standard_normal(6), rng.standard_normal(7))
+        fit_model_and_basis(iset)
+        iset.points[1] += 0.4 * random_unit(rng, 6)
+        assert_kept_factors_match_a_fresh_fit(iset)
+        assert iset.growing_refactorizations == {"first": 1, "replaced": 0, "rank": 0,
+                                                 "probe": 1}
+
+    def test_a_displacement_in_the_span_fails_the_rank_test(self):
+        rng = np.random.default_rng(44)
+        iset = make_set(rng.standard_normal((3, 5)), rng.standard_normal((3, 4)))
+        fit_model_and_basis(iset)
+        xk = iset.base_point()
+        others = [t for t in range(3) if t != iset.base_index]
+        y = xk + 0.5 * (iset.points[others[0]] - xk) - 0.25 * (iset.points[others[1]] - xk)
+        iset.put(3, y, rng.standard_normal(4))
+        with pytest.raises(DegenerateSetError):
+            fit_model_and_basis(iset)
+        assert iset.growing_refactorizations["rank"] == 1
+        iset.put(3, rng.standard_normal(5), rng.standard_normal(4))
+        assert_kept_factors_match_a_fresh_fit(iset)
+        assert iset.growing_refactorizations == {"first": 1, "replaced": 1, "rank": 1,
+                                                 "probe": 0}
+
+    def test_the_set_turns_full_after_the_last_append(self):
+        rng = np.random.default_rng(45)
+        iset = make_set(rng.standard_normal((3, 3)), rng.standard_normal((3, 4)))
+        fit_model_and_basis(iset)
+        iset.put(3, rng.standard_normal(3), rng.standard_normal(4))
+        lm, basis = fit_model_and_basis(iset)
+        assert basis is not None and isinstance(lm, LinearResidualModel)
+        assert iset.refactorizations["first"] == 1
+        assert iset.growing_refactorizations["first"] == 1
+
+    def test_counts_share_keys_with_the_full_set_causes(self):
+        counts = InterpolationSet(np.zeros((1, 2))).factorization_counts()
+        assert counts == {"first": 0, "updates": 0, "denominator": 0, "probe": 0,
+                          "growing_first": 0, "growing_replaced": 0, "growing_rank": 0,
+                          "growing_probe": 0}

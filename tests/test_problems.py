@@ -285,3 +285,28 @@ class TestNoiseStd:
             rt = np.sqrt(r * r + eps * eps)
         mc = np.std(np.einsum("ij,ij->i", rt, rt), ddof=1)
         assert noise_std_at(p, noise, p.x_star) == pytest.approx(mc, rel=0.01)
+
+
+def watson_loop(x):
+    """The Watson residual as one loop over its rows, building every power afresh."""
+    n = x.size
+    out = np.zeros(31)
+    for i in range(1, 30):
+        t = i / 29.0
+        s1 = float((np.arange(1, n) * x[1:]) @ t ** np.arange(n - 1))
+        s2 = float(x @ t ** np.arange(n))
+        out[i - 1] = s1 - s2 * s2 - 1.0
+    out[29] = x[0]
+    out[30] = x[1] - x[0] ** 2 - 1.0
+    return out
+
+
+@pytest.mark.parametrize("name", ["watson", "watson_9", "watson_12"])
+def test_watson_matches_the_row_loop_bit_for_bit(name):
+    # The cached powers keep each row's product, so the residual bits do not change.
+    prob = get_problem(name)
+    rng = np.random.default_rng(17)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            x = prob.x0 + scale * rng.standard_normal(prob.n)
+            np.testing.assert_array_equal(prob.residual(x), watson_loop(x))

@@ -493,7 +493,9 @@ class TestRestarts:
             loop._do_restart("hard")
         fit_model_and_basis(loop.iset)
         counts = loop._results(EXIT_BUDGET).diagnostics["refactorizations"]
-        assert counts == {"first": 4, "updates": 0, "denominator": 0, "probe": 0}
+        assert counts == {"first": 4, "updates": 0, "denominator": 0, "probe": 0,
+                          "growing_first": 0, "growing_replaced": 0, "growing_rank": 0,
+                          "growing_probe": 0}
 
     def test_restart_resets_radii(self):
         loop = make_loop(rosen, np.array([-1.2, 1.0]), SolverParams(delta0=0.5, noisy=True))
@@ -692,6 +694,13 @@ class TestFixedVariables:
         assert result.f == float(np.sum(rosen(np.array([0.5, 1.0])) ** 2))
         assert result.exit_flag == EXIT_SMALL_TRUST_REGION
         assert result.diagnostics["eval_failures"] == {}
+
+    def test_every_variable_fixed_counts_zero_refactorizations_under_every_cause(self):
+        fixed = solve(rosen, np.array([0.5, 1.0]), bounds=([0.5, 1.0], [0.5, 1.0]))
+        free = solve(rosen, np.array([0.5, 1.0]), params=SolverParams(max_evals=20), seed=0)
+        counts = fixed.diagnostics["refactorizations"]
+        assert counts.keys() == free.diagnostics["refactorizations"].keys()
+        assert set(counts.values()) == {0}
 
     def test_a_residual_raising_at_x0_fails_alike_with_every_variable_fixed_or_not(self):
         def residual(x):
@@ -1044,3 +1053,25 @@ class TestSolve:
         result = solve(noisy, np.array([-1.2, 1.0]), seed=0,
                        params=SolverParams(noisy=True, max_evals=100, nsamples="const:7"))
         assert result.n_evals <= 100
+
+
+class TestGrowingFactorizations:
+    def test_each_from_scratch_growing_fit_is_counted_by_cause(self, monkeypatch):
+        # Reduced initialization grows the set from two points to n + 1; the
+        # kept factors are refactorized only for the counted causes.
+        import dfls.model
+        real, calls = dfls.model.solve_min_norm, []
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(dfls.model, "solve_min_norm", counted)
+        prob = get_problem("broyden_tridiagonal")
+        result = solve(prob.residual, prob.x0, seed=0,
+                       params=SolverParams(p_init=1, max_evals=20 * (prob.n + 1)))
+        counts = result.diagnostics["refactorizations"]
+        assert len(calls) == sum(counts["growing_" + cause]
+                                 for cause in ("first", "replaced", "rank", "probe"))
+        assert counts["growing_first"] == 1 and calls[0] == 1
+        assert counts["first"] >= 1  # the full set that the growing one became
