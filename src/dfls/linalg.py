@@ -60,13 +60,13 @@ def solve_min_norm(W, B):
     """Minimal Euclidean-norm solution of the underdetermined system W z = B, in factors.
 
     W is q x N with q <= N and must have full row rank; B is (q,) or (q, m).
-    Returns (Q, Y) from one complete Householder QR W^T = Q [R; 0]: Q is the
-    N x N orthogonal factor and Y = R^{-T} B. The solution is z = Q[:, :q] Y,
-    which satisfies W z = B exactly and lies in the row space of W; Q[:, q:]
-    spans the null space of W.
+    Returns (Q, Y, d) from one complete Householder QR W^T = Q [R; 0]: Q is the
+    N x N orthogonal factor, Y = R^{-T} B and d = |diag R|. The solution is
+    z = Q[:, :q] Y, which satisfies W z = B exactly and lies in the row space
+    of W; Q[:, q:] spans the null space of W.
 
-    Raises DegenerateSetError when a diagonal entry of R is at most RANK_TOL
-    times the largest one (R is singular exactly when one is zero).
+    Raises DegenerateSetError when an entry of d is at most RANK_TOL times the
+    largest one (R is singular exactly when one is zero).
     """
     W = np.asarray(W, dtype=float)
     if W.shape[0] > W.shape[1]:
@@ -76,20 +76,20 @@ def solve_min_norm(W, B):
     d = np.abs(np.diag(R))
     if not d.min() > RANK_TOL * d.max():
         raise DegenerateSetError("degenerate interpolation set")
-    return Q, np.linalg.inv(R[:q]).T @ B
+    return Q, np.linalg.inv(R[:q]).T @ B, d
 
 
-def clamp_singular_values(C, r, k):
-    """Rank repair of a rank-p Jacobian J = C Q^T, Q (n x p) with orthonormal columns.
+def clamp_singular_values(C, k):
+    """Factors of the rank repair of a rank-p Jacobian J = C Q^T, Q (n x p) orthonormal.
 
-    Returns (level, gram, y, Qc, Rc) from one complete Householder QR
-    C = Qc [Rc; 0]: Qc is m x m, Rc p x p, gram = C^T C (as Rc^T Rc),
-    level = repair_level(Rc), and y = U^T r for U = Qc[:, p:p+k], the first k
-    complement columns. For N (n x k) with orthonormal columns orthogonal to Q,
+    Returns (gram, Qc, Rc) from one complete Householder QR C = Qc [Rc; 0]:
+    Qc is m x m, Rc p x p and gram = C^T C (as Rc^T Rc). With
+    level = repair_level(Rc), U = Qc[:, p:p+k] (the first k complement
+    columns) and N (n x k) with orthonormal columns orthogonal to Q,
     J + level U N^T keeps the singular triplets of J and has k more singular
     values equal to level, so it has rank p + k; its gradient and Gauss-Newton
-    Hessian are Q C^T r + level N y and Q gram Q^T + level^2 N N^T. Qc and Rc
-    are what qr_append_column updates when C gains a column.
+    Hessian are Q C^T r + level N U^T r and Q gram Q^T + level^2 N N^T. Qc and
+    Rc are what qr_append_column updates when C gains a column.
 
     C is m x p with 1 <= k <= m - p.
     """
@@ -99,7 +99,7 @@ def clamp_singular_values(C, r, k):
         raise ValueError("need 1 <= k <= m - p")
     Qc, R = np.linalg.qr(C, mode="complete")
     Rc = R[:p]
-    return repair_level(Rc), Rc.T @ Rc, Qc[:, p:p + k].T @ r, Qc, Rc
+    return Rc.T @ Rc, Qc, Rc
 
 
 def repair_level(Rc):

@@ -280,16 +280,12 @@ class InterpolationSet:
             self.growing_refactorizations[self._grown_stale] += 1
             b = self.base_index
             D = np.delete(self.points, b, axis=0) - self.base_point()
-            Q, Y = solve_min_norm(D, np.delete(self.values, b, axis=0) - r)
+            Q, Y, rdiag = solve_min_norm(D, np.delete(self.values, b, axis=0) - r)
             self._grown_stale = "first"
             C = Y.T
-            rdiag = np.abs(np.einsum("ij,ji->i", D, Q[:, :p]))
-            if k > 0:
-                level, gram, _, Qc, Rc = clamp_singular_values(C, r, k)
-            else:
-                level, gram, Qc, Rc = 0.0, C.T @ C, None, None
+            gram, Qc, Rc = clamp_singular_values(C, k) if k > 0 else (C.T @ C, None, None)
             self._grown = _GrowingFactors(Q, C, gram, (rdiag.min(), rdiag.max()), repair_rank,
-                                          Qc, Rc, level)
+                                          Qc, Rc, None)
         f = self._grown
         if k > 0:
             U = f.Qc[:, p:p + k]
@@ -473,22 +469,14 @@ class MinNormModel:
         return J
 
     def gauss_newton(self):
-        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T).
-
-        With the full complement (p + k = n) N N^T is I - Q_p Q_p^T, so
-        J^T J = Q_p (gram - level^2 I) Q_p^T + level^2 I and N N^T is never formed.
-        """
-        (n, _), (p, k) = self.Q.shape, (self.C.shape[1], self.y.size)
-        Qp = self.Q[:, :p]
+        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T)."""
+        p, k = self.C.shape[1], self.y.size
+        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
         Jtr = Qp.dot(self.C.T.dot(self.r))
-        if not k:
-            return Jtr, Qp.dot(self.gram).dot(Qp.T)
-        N, level2 = self.Q[:, p:p + k], self.level ** 2
-        Jtr += self.level * N.dot(self.y)
-        if p + k < n:
-            return Jtr, Qp.dot(self.gram).dot(Qp.T) + level2 * N.dot(N.T)
-        JtJ = Qp.dot(self.gram - level2 * np.eye(p)).dot(Qp.T)
-        JtJ.flat[::n + 1] += level2
+        JtJ = Qp.dot(self.gram).dot(Qp.T)
+        if k:
+            Jtr += self.level * N.dot(self.y)
+            JtJ += self.level ** 2 * N.dot(N.T)
         return Jtr, JtJ
 
 

@@ -249,6 +249,9 @@ class _Loop:
         self.best_f = np.inf
         self.f0_observed = None
         self.consecutive_failures = 0
+        # The set filled by growing and no safety phase has found it within
+        # epsilon since: growing steps move no point, so some may lie far out.
+        self.handoff = False
         self.prev_J = None
         self.radius_events = []    # -1 / 0 / +1 per iteration since restart
         self.jac_history = []      # (iteration, log ||J_k - J_{k-1}||_F)
@@ -644,6 +647,7 @@ class _Loop:
             iset.rebase()
 
         if growing:
+            self.handoff = not self._growing()
             return  # growing phase: no removals, rho unchanged
 
         if ratio >= p.eta1:
@@ -668,11 +672,20 @@ class _Loop:
             self._reduce_rho()
 
     def _safety_phase(self, hull):
+        """Growing: append a point. Full: move the furthest point, then reduce rho once
+        delta is down to it, except while a set that just filled by growing has a
+        point beyond the epsilon of the radii this iteration started with (the
+        unsuccessful branch's geometry test)."""
         if hull is not None:
             self._growing_safety(hull)
+            self.handoff = not self._growing()
             return
+        far = self.handoff and needs_geometry_improvement(self.iset, self._geom_epsilon())
         self.delta = max(self.rho, self.p.omega_safety * self.delta)
         self._improve_geometry()
+        if far:
+            return
+        self.handoff = False
         if self.delta <= self.rho:
             self._reduce_rho()
 

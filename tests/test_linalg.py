@@ -8,6 +8,7 @@ from dfls.linalg import (
     orthogonal_complement_direction,
     qr_append_column,
     random_orthonormal,
+    repair_level,
     solve_min_norm,
     solve_regression,
 )
@@ -57,7 +58,7 @@ class TestSolveRegression:
 
 def min_norm(W, B):
     """The solution z = Q[:, :q] Y that solve_min_norm returns in factors."""
-    Q, Y = solve_min_norm(W, B)
+    Q, Y, _ = solve_min_norm(W, B)
     return Q[:, :np.shape(W)[0]] @ Y
 
 
@@ -101,10 +102,12 @@ class TestSolveMinNorm:
     def test_complement_columns_span_the_null_space(self):
         rng = np.random.default_rng(12)
         W = rng.standard_normal((3, 7))
-        Q, Y = solve_min_norm(W, rng.standard_normal((3, 2)))
+        Q, Y, d = solve_min_norm(W, rng.standard_normal((3, 2)))
         np.testing.assert_allclose(Q.T @ Q, np.eye(7), atol=1e-12)
         np.testing.assert_allclose(W @ Q[:, 3:], 0.0, atol=1e-12)
         assert Y.shape == (3, 2)
+        # d = |diag R| for W^T = Q_3 R.
+        np.testing.assert_allclose(d, np.abs(np.diag(Q[:, :3].T @ W.T)), rtol=1e-12)
 
 
 def repaired(C, r, Q):
@@ -115,7 +118,8 @@ def repaired(C, r, Q):
     """
     (m, p), n = C.shape, Q.shape[0]
     k = min(m, n) - p
-    level, gram, y, Qc, Rc = clamp_singular_values(C, r, k)
+    gram, Qc, Rc = clamp_singular_values(C, k)
+    level, y = repair_level(Rc), Qc[:, p:p + k].T @ r
     np.testing.assert_allclose(gram, C.T @ C, atol=1e-12 * max(1.0, np.abs(C).max()) ** 2)
     np.testing.assert_allclose(Qc.T @ Qc, np.eye(m), atol=1e-12)
     np.testing.assert_allclose(Qc[:, :p] @ Rc, C, atol=1e-12 * max(1.0, np.abs(C).max()))
@@ -183,19 +187,20 @@ class TestClampSingularValues:
         np.testing.assert_allclose(sv, [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_y_holds_the_complement_coordinates_of_r(self):
-        # y = U^T r over the first k complement columns of C's complete QR, for any k.
+        # y = U^T r, read off the returned Qc, holds r's coordinates along the
+        # first k complement columns of C's complete QR, for any k.
         rng = np.random.default_rng(13)
         for m, p in ((9, 3), (4, 3), (12, 1)):
             C = rng.standard_normal((m, p))
             r = rng.standard_normal(m)
             full = np.linalg.qr(C, mode="complete")[0].T @ r
             for k in range(1, m - p + 1):
-                y = clamp_singular_values(C, r, k)[2]
+                y = clamp_singular_values(C, k)[1][:, p:p + k].T @ r
                 np.testing.assert_allclose(y, full[p:p + k], atol=1e-12)
 
     def test_needs_room_for_the_complement(self):
         with pytest.raises(ValueError):
-            clamp_singular_values(np.ones((3, 2)), np.ones(3), 2)
+            clamp_singular_values(np.ones((3, 2)), 2)
 
 
 class TestQrAppendColumn:
