@@ -485,12 +485,15 @@ class FullModel:
     """Quadratic model of the sum-of-squares objective derived from a linear model.
 
     m(s) = c + g.s + 0.5 s.H.s with c = ||r||^2, g = 2 J^T r, H = 2 J^T J,
-    which equals ||r + J s||^2 identically.
+    which equals ||r + J s||^2 identically. linear is the linear residual
+    model (r, J) it came from, when there is one: the trust-region step reads
+    its J only when it takes the step from J's SVD.
     """
 
     c: float
     g: np.ndarray
     H: np.ndarray
+    linear: object = None
 
     def decrease(self, s):
         s = np.asarray(s, dtype=float)
@@ -590,7 +593,7 @@ def build_linear_model(iset, repair_rank=True):
 def full_model(lm):
     """Quadratic objective model ||r + J s||^2 from a linear residual model."""
     Jtr, JtJ = lm.gauss_newton()
-    return FullModel(c=float(lm.r.dot(lm.r)), g=2.0 * Jtr, H=2.0 * JtJ)
+    return FullModel(c=float(lm.r.dot(lm.r)), g=2.0 * Jtr, H=2.0 * JtJ, linear=lm)
 
 
 def _solve_interpolation(iset):

@@ -399,22 +399,31 @@ class _Loop:
         return geometry_point(basis, t, center, radius, self.bounds, self.rng)
 
     def _improve_geometry(self):
-        """Move the point furthest from the base to a geometry-improving spot."""
+        """Move the point furthest from the base to a geometry-improving spot.
+
+        When that spot fails to evaluate, a random step of the same length
+        replaces it: the set, delta and rho would otherwise stay as they were,
+        and the next iteration would propose the same points again.
+        """
         t = self.iset.furthest_index()
-        self._move_point(t, self._geometry_point(t, self.iset.base_point(), self.delta))
+        y = self._geometry_point(t, self.iset.base_point(), self.delta)
+        if self._move_point(t, y) is False:
+            self._repair_degenerate()
 
     def _move_point(self, t, y):
         """Evaluate y and put it at slot t (t == npt appends), then rebase.
 
-        A duplicate of a set point is skipped unevaluated (returns False); a
-        failed evaluation leaves the set unchanged.
+        Returns True when y was put, False when its evaluation failed (the set
+        is unchanged), and None for a duplicate of a set point, which is
+        skipped unevaluated.
         """
         if self.iset.has_point(y):
-            return False
+            return None
         rbar, fbar, nsamp = self.evaluate_averaged(y)
-        if rbar is not None:
-            self.iset.put(t, y, rbar, nsamp)
-            self.iset.rebase()
+        if rbar is None:
+            return False
+        self.iset.put(t, y, rbar, nsamp)
+        self.iset.rebase()
         return True
 
     def _repair_degenerate(self):
@@ -436,7 +445,7 @@ class _Loop:
                 d = orthogonal_complement_direction(hull, self.rng)
             except DegenerateSetError:
                 d = random_unit(self.rng, self.n)
-            if self._move_point(self.iset.npt, self._clip(xk + self.delta * d)):
+            if self._move_point(self.iset.npt, self._clip(xk + self.delta * d)) is not None:
                 return
 
     def _perturb(self, hull, s):
@@ -637,6 +646,10 @@ class _Loop:
 
         new_delta, hit_rho = update_radii(ratio, self.delta, self.rho, step_norm, p)
         self.delta = new_delta
+        # A step that failed to evaluate counts as delta reaching rho: a noisy
+        # solve's gentle radius factors would otherwise spend many evaluations
+        # in a region where the residuals fail.
+        hit_rho = hit_rho or rbar is None
 
         if rbar is not None and not iset.has_point(xnew):
             if growing:

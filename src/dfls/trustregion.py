@@ -1,11 +1,16 @@
 """Bound-constrained trust-region subproblem with a guaranteed Cauchy decrease.
 
-The quadratic model here always has a positive-semidefinite Hessian (it comes
-from a Gauss-Newton construction), so one truncated conjugate-gradient loop
-from the Cauchy point is enough, for the ball and the box alike: Steihaug CG
-that stops at the ball boundary and, when a step reaches a box face, holds
-that coordinate fixed and restarts on the others (the scheme of Powell's
-TRSBOX). Every returned step is checked against the decrease bound
+The quadratic model here always has a positive-semidefinite Hessian: it is
+m(s) = ||r + J s||^2 with g = 2 J^T r and H = 2 J^T J (the Gauss-Newton
+construction). When no box face binds and n is at most EXACT_STEP_MAX_N, the
+step is the exact minimizer of ||r + J s|| over the ball, taken from J's thin
+SVD with Newton's method on the secular equation (More 1978; More and
+Sorensen 1983). It works on cond(J), where a CG on H would see cond(J)^2.
+Otherwise one truncated conjugate-gradient loop from the Cauchy point serves
+the ball and the box alike: Steihaug CG that stops at the ball boundary and,
+when a step reaches a box face, holds that coordinate fixed and restarts on
+the others (the scheme of Powell's TRSBOX). Every returned step is checked
+against the decrease bound
 
     m(0) - m(s) >= 0.5 ||g|| min(delta, ||g|| / max(||H||, 1)),
 
@@ -16,10 +21,11 @@ The quantities along d = -g/||g||, the feasible length along d and the
 bounds on ||H||, are computed once per step and shared by the Cauchy step,
 the CG and the audit. The exact spectral norm ||H|| enters only two tests,
 the Cauchy step's degenerate-curvature test and the bound above, and each is
-monotone in it. Both are first decided from certified bounds on ||H|| that
-cost O(n^2); the eigendecomposition runs only when a bound cannot decide,
-and the test is then repeated with the exact norm, so steps and audit
-outcomes are those of the exact test.
+monotone in it. On the SVD path ||H|| is 2 sigma_1^2 exactly. Otherwise both
+tests are first decided from certified bounds on ||H|| that cost O(n^2); the
+eigendecomposition runs only when a bound cannot decide, and the test is
+then repeated with the exact norm, so steps and audit outcomes are those of
+the exact test.
 """
 
 import math
@@ -32,6 +38,17 @@ __all__ = ["solve_trust_region", "contract_stats", "reset_contract_stats"]
 
 _FEAS_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+
+# Unbounded steps of models with at most this many variables are the exact
+# Gauss-Newton step from J's thin SVD; box steps and larger n run the CG on H.
+# Per call the SVD step costs about what the CG costs at n = 12 and 1.8 times
+# as much at n = 20, but whole solves at n = 20 still finish sooner on it, and
+# at n = 25 they do not (BENCH_exact_step.json).
+EXACT_STEP_MAX_N = 20
+# The secular-equation Newton iteration stops once ||s(mu)|| <= (1 + tol) delta,
+# or after _SECULAR_MAX_ITER iterations.
+_SECULAR_TOL = 0.01
+_SECULAR_MAX_ITER = 30
 
 # Decrease-contract audit counters (per process).
 _STATS = {"checks": 0, "violations": 0, "exact_norms": 0}
@@ -74,17 +91,23 @@ class _Descent:
     strictly inside the ball (otherwise the box cannot bind and the step is
     the ball-only one); t_max is the feasible length along d and t_reach the
     length the decrease bound uses (delta itself without a binding box);
-    hnorm is the _HessianNorm of H along d.
+    hnorm is the _HessianNorm of H along d, given ||H|| as exact_hnorm when
+    that is already known.
     """
 
-    def __init__(self, model, delta, box, gnorm):
+    def __init__(self, model, delta, box, gnorm, exact_hnorm=None):
         self.gnorm = gnorm
         self.d = -model.g / gnorm
-        self.box = box is not None and bool((box[0] > -delta).any() or (box[1] < delta).any())
+        self.box = _binds(box, delta)
         self.t_max = _max_feasible_step(np.zeros(self.d.size), self.d, delta,
                                         box if self.box else None)
         self.t_reach = self.t_max if self.box else delta
-        self.hnorm = _HessianNorm(model.H, self.d)
+        self.hnorm = _HessianNorm(model.H, self.d, exact_hnorm)
+
+
+def _binds(box, delta):
+    """Whether a face of the box lies strictly inside the ball."""
+    return box is not None and bool((box[0] > -delta).any() or (box[1] < delta).any())
 
 
 def _cauchy_step(descent):
@@ -123,17 +146,22 @@ class _HessianNorm:
     Cauchy point always did); upper is the largest absolute row sum of H.
     Each carries a 4(n+4) eps margin for the rounding of both norms and of
     eigvalsh. exact() runs the eigendecomposition once, counts it, and then
-    serves as both bounds; non-finite bounds get it at once.
+    serves as both bounds; non-finite bounds get it at once. A norm known
+    beforehand (2 sigma_1^2 from J's SVD) is given as exact and serves as
+    both bounds from the start.
     """
 
-    def __init__(self, H, d):
-        margin = 4.0 * (d.size + 4) * _EPS
+    def __init__(self, H, d, exact=None):
         dH = d.dot(H)
         self.H = H
         self.curv = float(dH.dot(d))
+        self._exact = exact
+        if exact is not None:
+            self.lower = self.upper = exact
+            return
+        margin = 4.0 * (d.size + 4) * _EPS
         self.lower = math.sqrt(float(dH.dot(dH))) * (1.0 - margin)
         self.upper = float(np.abs(H).sum(axis=1).max()) * (1.0 + margin)
-        self._exact = None
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             self.exact()
 
@@ -208,14 +236,54 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
             return s
 
 
+def _svd_step(J, r, delta):
+    """The exact step min ||r + J s|| over ||s|| <= delta from J's thin SVD, and ||H||.
+
+    With J = U diag(sigma) V^T and b = U^T r, singular values below
+    sigma_1 m eps dropped, s(mu) = -V diag(sigma / (sigma^2 + mu)) b. The step
+    is s(0) when that lies in the ball. Otherwise mu solves the secular
+    equation 1/||s(mu)|| = 1/delta by Newton's method (MINPACK lmpar), started
+    from the More-Sorensen lower bound ||diag(sigma) b|| / delta - sigma_1^2.
+    The secular function is increasing and concave in mu, so the iterates stay
+    below the root and ||s(mu)|| falls to delta from above. Iteration stops
+    at ||s(mu)|| <= (1 + _SECULAR_TOL) delta, and _finalize scales s(mu) onto
+    the ball. s(mu) decreases the model at least as much as the exact step,
+    and the model is convex along the ray through s(mu). So the scaled step
+    keeps at least 1 / (1 + _SECULAR_TOL) of the exact step's decrease.
+    ||H|| = ||2 J^T J|| is 2 sigma_1^2.
+    """
+    U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
+    hnorm = 2.0 * float(sigma[0]) ** 2
+    k = int(np.count_nonzero(sigma > sigma[0] * J.shape[0] * _EPS))
+    sigma2 = sigma[:k] * sigma[:k]
+    sb = sigma[:k] * U[:, :k].T.dot(r)   # diag(sigma) b
+    q = sb / sigma2
+    qq = float(q.dot(q))
+    if qq > delta * delta:
+        mu = max(0.0, math.sqrt(float(sb.dot(sb))) / delta - float(sigma2[0]))
+        for _ in range(_SECULAR_MAX_ITER):
+            den = sigma2 + mu
+            q = sb / den
+            qq = float(q.dot(q))
+            qnorm = math.sqrt(qq)
+            if qnorm <= (1.0 + _SECULAR_TOL) * delta:
+                break
+            # Newton on 1/||s(mu)|| - 1/delta; d||s||^2/dmu = -2 q.(q / den).
+            mu += (qnorm / delta - 1.0) * qq / float(q.dot(q / den))
+    return -q.dot(Vt[:k]), hnorm
+
+
 def solve_trust_region(model, delta, lower=None, upper=None):
     """Approximate minimizer of the model over the ball intersected with the box.
 
-    The step starts from the Cauchy point and is refined by truncated CG (at
-    most 2n iterations), so the Cauchy decrease bound holds; it is verified
-    on every call and an AssertionError is raised on violation. Returns the
-    zero step when the model gradient vanishes. Without lower and upper
-    there is no box: no bound vectors are built and no step is clipped.
+    When no box face binds, n <= EXACT_STEP_MAX_N and the model carries its
+    linear model (model.linear, as full_model gives it), the step is the
+    exact one from J's SVD. Otherwise it starts from the Cauchy point and is
+    refined by truncated CG (at most 2n iterations). Either step is kept only
+    when it beats the Cauchy step, so the Cauchy decrease bound holds; it is
+    verified on every call and an AssertionError is raised on violation.
+    Returns the zero step when the model gradient vanishes. Without lower and
+    upper there is no box: no bound vectors are built and no step is clipped.
     """
     if not delta > 0.0:
         raise ValueError("need delta > 0")
@@ -231,16 +299,21 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     if gnorm == 0.0:
         return np.zeros(n)
 
-    descent = _Descent(model, delta, box, gnorm)
+    s = hnorm = None
+    if model.linear is not None and n <= EXACT_STEP_MAX_N and not _binds(box, delta):
+        s, hnorm = _svd_step(model.linear.J, model.linear.r, delta)
+    descent = _Descent(model, delta, box, gnorm, hnorm)
     s_c = _finalize(_cauchy_step(descent), box, delta)
-    s = _truncated_cg(model, s_c, delta, 2 * n, box if descent.box else None)
+    if s is None:
+        s = _truncated_cg(model, s_c, delta, 2 * n, box if descent.box else None)
     s = _finalize(s, box, delta)
 
-    # Keep the CG refinement only when its decrease verifiably beats the
-    # Cauchy step and the bound; the evaluation of the decrease itself is
-    # noise-limited for the huge near-singular models an ill-conditioned
-    # interpolation set can produce, while the Cauchy step always evaluates
-    # cleanly (its products stay at the scale of the bound).
+    # Keep the refined step (the CG's or the SVD's, "cg" below) only when its
+    # decrease verifiably beats the Cauchy step and the bound; the evaluation
+    # of the decrease itself is noise-limited for the huge near-singular
+    # models an ill-conditioned interpolation set can produce, while the
+    # Cauchy step always evaluates cleanly (its products stay at the scale of
+    # the bound).
     cg = _decrease(model, s, gnorm)
     cauchy = _decrease(model, s_c, gnorm)
     bound, keep_cg, passes = _certified_audit(gnorm, descent.t_reach, descent.hnorm, cg, cauchy)

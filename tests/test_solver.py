@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfls
+from dfls.bench import run_one
 from dfls.params import (
     NoiseLevelConfig,
     RestartConfig,
@@ -232,14 +233,13 @@ class TestGrowingComplement:
     def test_n100_p30(self, bounded):
         assert check_growing_complement(100, 30, 120, bounded, seed=0) == bounded
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="trustregion._truncated_cg's stopping test lies below the "
-                              "rounding level of its residual: after reaching the interior "
-                              "minimizer it follows rounding noise out of span(Q_p) to the "
-                              "ball boundary (CHANGES.md FOUND)")
-    def test_a_converged_cg_step_stays_in_the_span(self):
-        # The example hypothesis found for test_directions_are_orthogonal_to_the_displacements.
-        check_growing_complement(11, 5, 5, False, 73596)
+    def test_an_ill_conditioned_exact_step_stays_in_the_span(self):
+        # An unrepaired growing model with ||H|| = 2.4e6, on which the CG from
+        # the Cauchy point reaches the interior minimizer and then follows
+        # rounding noise out of span(Q_p). The unbounded step at n = 11 comes
+        # from J's SVD, whose right singular vectors of nonzero singular values
+        # span J's row space, span(Q_p).
+        assert not check_growing_complement(11, 5, 5, False, 73596)
 
 
 class TestEvaluateAveraged:
@@ -916,6 +916,18 @@ class TestSolve:
         assert result.exit_flag == EXIT_BUDGET
         assert result.n_evals <= 10
 
+    def test_watson_12_workload_solves_reach_f_star(self):
+        # The two dense_smooth solves of watson_12 at workload seed 0 (solver
+        # seeds SeedSequence(0).generate_state(2), budget 1000 (n + 1)).
+        # cond(J) is about 1e7 there, so a CG on H = 2 J^T J stalls at its
+        # iteration cap and the solves stop on slow progress above f*; the
+        # exact step from J's SVD reaches f* early.
+        prob = get_problem("watson_12")
+        for seed in np.random.SeedSequence(0).generate_state(2):
+            rec = run_one("watson_12", NoiseModel("none", 0.0), int(seed), 1000)
+            hits = np.flatnonzero(rec.best_true <= prob.f_star * (1.0 + 1e-5))
+            assert hits.size and rec.eval_indices[hits[0]] < 400
+
     def test_failing_residuals_are_rejected(self):
         calls = {"n": 0}
 
@@ -954,6 +966,40 @@ class TestSolve:
         assert (raised.n_evals, raised.exit_flag) == (nonfinite.n_evals, nonfinite.exit_flag)
         clean = solve(rosen, np.array([-1.2, 1.0]), seed=0, params=params)
         assert clean.diagnostics["eval_failures"] == {}
+
+    def test_a_geometry_point_that_fails_to_evaluate_is_replaced(self):
+        # The residual raises for -0.5 < x[0] < 0. Once delta is down to rho,
+        # a geometry point that fails would leave the set, delta and rho as
+        # they were, and the iterations would cycle over the same four failing
+        # points until the consecutive-failure guard raises.
+        def fun(x):
+            if -0.5 < x[0] < 0.0:
+                raise ZeroDivisionError("division by zero")
+            return rosen(x)
+
+        result = solve(fun, np.array([-1.2, 1.0]), seed=4, params=SolverParams(max_evals=2000))
+        assert result.diagnostics["eval_failures"]["ZeroDivisionError"] > 0
+        assert np.isfinite(result.f)
+
+    def test_a_step_that_fails_to_evaluate_reduces_rho(self):
+        # Noisy radius factors shrink delta by 2% per unsuccessful step and rho
+        # by 10% once delta reaches it. Near a region where the residuals fail
+        # that took more than 50 consecutive failures on a restarted noisy
+        # meyer run, so a failed step counts as delta reaching rho.
+        calls = {"n": 0}
+
+        def fun(x):
+            calls["n"] += 1
+            if calls["n"] > 3:  # every step fails
+                raise FloatingPointError("overflow")
+            return rosen(x)
+
+        loop = make_loop(fun, np.array([-1.2, 1.0]), SolverParams(noisy=True, delta0=0.1))
+        rho = loop.rho
+        loop.delta = 5.0 * rho  # above rho, and every point within epsilon
+        loop._iterate()
+        assert calls["n"] == 4  # the step alone: no geometry point was due
+        assert loop.rho == loop.p.alpha1 * rho and loop.delta == loop.p.alpha2 * rho
 
     def test_residual_length_change_at_a_step_raises(self):
         calls = {"n": 0}

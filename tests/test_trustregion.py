@@ -2,11 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfls import trustregion as tr
-from dfls.model import FullModel, _bounds_arrays
+from dfls.model import FullModel, LinearResidualModel, _bounds_arrays, full_model
 from dfls.trustregion import contract_stats, solve_trust_region
 
 
@@ -359,3 +359,101 @@ class TestTruncatedCG:
         s = solve_trust_region(model, 10.0, lower, upper)
         assert s[0] == 1.0
         np.testing.assert_allclose(s[1], -(g[1] + H[1, 0]) / H[1, 1], rtol=1e-14)
+
+
+def least_squares_in_ball(J, r, delta):
+    """min ||r + J s||^2 over ||s|| <= delta, from scratch: the minimum-norm
+    least-squares solution when it lies in the ball, otherwise bisection on mu
+    with s(mu) = lstsq([J; sqrt(mu) I], [-r; 0])."""
+    n = J.shape[1]
+
+    def s_of(mu):
+        if mu == 0.0:
+            return np.linalg.lstsq(J, -r, rcond=None)[0]
+        A = np.vstack([J, np.sqrt(mu) * np.eye(n)])
+        return np.linalg.lstsq(A, np.concatenate([-r, np.zeros(n)]), rcond=None)[0]
+
+    s = s_of(0.0)
+    if np.linalg.norm(s) > delta:
+        lo, hi = 0.0, np.linalg.norm(J.T @ r) / delta  # ||s(mu)|| <= ||J^T r|| / mu
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.linalg.norm(s_of(mid)) > delta:
+                lo = mid
+            else:
+                hi = mid
+        s = s_of(hi)
+    res = r + J @ s
+    return float(res @ res)
+
+
+class TestExactStep:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
+           deficiency=st.integers(0, 3), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           ill_conditioned=st.booleans(), log_delta=st.floats(-4.0, 2.0))
+    def test_matches_a_from_scratch_reference(self, n, extra_rows, seed, deficiency, scale,
+                                              ill_conditioned, log_delta):
+        rng = np.random.default_rng(seed)
+        m = max(1, n + extra_rows)
+        rank = max(1, min(m, n) - deficiency)
+        if ill_conditioned:
+            # cond(J) = 1e8 on its rank.
+            U = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+            J = scale * (U * np.logspace(0.0, -8.0, rank)) @ V.T
+        else:
+            J = scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        r = scale * rng.standard_normal(m)
+        delta = 10.0 ** log_delta
+        model = full_model(LinearResidualModel(r=r, J=J, alpha=1.0))
+        assume(np.any(model.g))
+        assert n <= tr.EXACT_STEP_MAX_N
+        top = np.linalg.eigvalsh(model.H)[-1]
+        assert abs(tr._svd_step(J, r, delta)[1] - top) <= 1e-12 * top
+
+        before = contract_stats()
+        s = solve_trust_region(model, delta)  # raises if the audit fails
+        after = contract_stats()
+        assert after["checks"] == before["checks"] + 1
+        assert after["violations"] == before["violations"]
+        # ||H|| came from the SVD: no eigendecomposition ran.
+        assert after["exact_norms"] == before["exact_norms"]
+
+        assert np.linalg.norm(s) <= delta * (1 + 1e-12)
+        # At most 1% of the best decrease is lost to the secular tolerance.
+        f0 = float(r @ r)
+        best = least_squares_in_ball(J, r, delta)
+        res = r + J @ s
+        assert float(res @ res) - best <= 0.01 * (f0 - best) + 1e-10 * f0
+        # A box that never binds takes the same path, bit for bit.
+        far = np.full(n, 1e300)
+        assert s.tobytes() == solve_trust_region(model, delta, -far, far).tobytes()
+
+    def test_binding_boxes_and_large_n_keep_the_cg(self):
+        rng = np.random.default_rng(5)
+        for n, bounded in ((3, True), (tr.EXACT_STEP_MAX_N + 1, False)):
+            J = rng.standard_normal((n + 2, n))
+            model = full_model(LinearResidualModel(r=rng.standard_normal(n + 2), J=J, alpha=1.0))
+            bare = FullModel(c=model.c, g=model.g, H=model.H)
+            box = (-0.01 * np.ones(n), 0.01 * np.ones(n)) if bounded else ()
+            assert (solve_trust_region(model, 1.0, *box).tobytes()
+                    == solve_trust_region(bare, 1.0, *box).tobytes())
+
+    def test_takes_the_watson_step_the_cg_stalls_on(self):
+        # cond(J) = 1e7 and a ball far larger than the Gauss-Newton step: the
+        # exact step is that step, where 2n capped CG iterations on H, with
+        # cond(H) = 1e14, stay well short of it.
+        rng = np.random.default_rng(6)
+        n = 12
+        U = np.linalg.qr(rng.standard_normal((31, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        J = (U * np.logspace(0.0, -7.0, n)) @ V.T
+        r = U @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(31)
+        model = full_model(LinearResidualModel(r=r, J=J, alpha=1.0))
+        newton = np.linalg.lstsq(J, -r, rcond=None)[0]
+        s = solve_trust_region(model, 1e10)
+        np.testing.assert_allclose(s, newton, rtol=1e-6)
+        cg = solve_trust_region(FullModel(c=model.c, g=model.g, H=model.H), 1e10)
+        assert model.decrease(s) > model.decrease(cg)
+        assert np.linalg.norm(cg - newton) > 1e-3 * np.linalg.norm(newton)
