@@ -26,7 +26,6 @@ from .model import (
     MinNormModel,
     build_initial_set,
     build_linear_model,
-    full_model,
     geometry_point,
     lagrange_basis,
     needs_geometry_improvement,

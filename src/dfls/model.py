@@ -3,8 +3,9 @@
 The solver keeps a set of points with residual-vector values and builds a
 linear model r(x_k + s) ~ r_k + J_k s for the residuals by regression (when
 the set has at least n+1 points) or by minimal-norm interpolation (while the
-set is still growing). The quadratic objective model, the Lagrange polynomials
-of the set and the geometry-improvement machinery all live here.
+set is still growing). Each linear model is also the quadratic objective
+model ||r + J s||^2 that the trust-region step minimizes. The Lagrange
+polynomials of the set and the geometry-improvement machinery live here too.
 """
 
 import logging
@@ -34,7 +35,6 @@ __all__ = [
     "LagrangeBasis",
     "build_initial_set",
     "build_linear_model",
-    "full_model",
     "lagrange_basis",
     "geometry_point",
     "needs_geometry_improvement",
@@ -260,7 +260,7 @@ class InterpolationSet:
             Rc[:, p] = zc
         self._grown = _GrowingFactors(Q, C, gram, rdiag, f.repair, Qc, Rc, None)
 
-    def min_norm_model(self, alpha, repair_rank):
+    def min_norm_model(self, repair_rank):
         """The growing model (p < n) from the kept factors, or from scratch.
 
         Kept factors serve a fit once they pass _growing_probe_passes; the
@@ -291,8 +291,8 @@ class InterpolationSet:
             U = f.Qc[:, p:p + k]
             if f.level is None:
                 f.level = repair_level(f.Rc)
-            return MinNormModel(r, alpha, f.Q, f.C, f.gram, f.level, U.T.dot(r), U)
-        return MinNormModel(r, alpha, f.Q, f.C, f.gram, 0.0, np.empty(0), np.empty((m, 0)))
+            return MinNormModel(r, f.Q, f.C, f.gram, f.level, U.T.dot(r), U)
+        return MinNormModel(r, f.Q, f.C, f.gram, 0.0, np.empty(0), np.empty((m, 0)))
 
     def _growing_probe_passes(self, f):
         """Probe of the kept factors f against the set for the fixed v: O((n + m) p).
@@ -428,37 +428,64 @@ class InterpolationSet:
 
 
 @dataclass
-class LinearResidualModel:
+class FullModel:
+    """Quadratic model m(s) = c + g.s + 0.5 s.H.s of the sum-of-squares objective.
+
+    The two fitted models below are FullModels with c = ||r||^2, g = 2 J^T r
+    and H = 2 J^T J, set once when they are built, so m(s) = ||r + J s||^2
+    identically; the trust-region step reads their r and J when it takes the
+    step from J's SVD. A bare (c, g, H) quadratic has r = None.
+    """
+
+    c: float
+    g: np.ndarray
+    H: np.ndarray
+    r = None
+
+    def decrease(self, s):
+        s = np.asarray(s, dtype=float)
+        return -(self.g.dot(s)) - 0.5 * (s.dot(self.H).dot(s))
+
+    def hull(self):
+        """Orthonormal basis of the set's displacements: I_n once they span R^n."""
+        return np.eye(self.g.size)
+
+
+class LinearResidualModel(FullModel):
     """Linear residual model r(x_k + s) ~ r_k + J_k s around the base point."""
 
-    r: np.ndarray          # (m,)
-    J: np.ndarray          # (m, n)
-    alpha: float           # max distance of set points from the base
-
-    def gauss_newton(self):
-        """(J^T r, J^T J)."""
-        return self.J.T.dot(self.r), self.J.T.dot(self.J)
+    def __init__(self, r, J):
+        self.r = r             # (m,)
+        self.J = J             # (m, n)
+        super().__init__(float(r.dot(r)), 2.0 * J.T.dot(r), 2.0 * J.T.dot(J))
 
 
-@dataclass
-class MinNormModel:
+class MinNormModel(FullModel):
     """Linear residual model of a growing set (p < n), its Jacobian in factors.
 
     J = C Q_p^T + level U N^T: Q = [Q_p, N, ...] is the complete orthogonal
     factor of the displacements' QR (Q_p spans them), U the k = y.size
     complement columns of C's complete Householder factor, and y = U^T r
-    (k = 0 without a rank repair). gauss_newton() never forms J; reading J
-    does, once.
+    (k = 0 without a rank repair). J^T r = Q_p C^T r + level N y and
+    J^T J = Q_p gram Q_p^T + level^2 N N^T never form J; reading J does, once.
     """
 
-    r: np.ndarray          # (m,)
-    alpha: float           # max distance of set points from the base
-    Q: np.ndarray          # (n, n)
-    C: np.ndarray          # (m, p)
-    gram: np.ndarray       # C^T C
-    level: float
-    y: np.ndarray          # (k,)
-    U: np.ndarray          # (m, k)
+    def __init__(self, r, Q, C, gram, level, y, U):
+        self.r = r             # (m,)
+        self.Q = Q             # (n, n)
+        self.C = C             # (m, p)
+        self.gram = gram       # C^T C
+        self.level = level
+        self.y = y             # (k,)
+        self.U = U             # (m, k)
+        p, k = C.shape[1], y.size
+        Qp, N = Q[:, :p], Q[:, p:p + k]
+        Jtr = Qp.dot(C.T.dot(r))
+        JtJ = Qp.dot(gram).dot(Qp.T)
+        if k:
+            Jtr += level * N.dot(y)
+            JtJ += level ** 2 * N.dot(N.T)
+        super().__init__(float(r.dot(r)), 2.0 * Jtr, 2.0 * JtJ)
 
     @cached_property
     def J(self):
@@ -468,36 +495,9 @@ class MinNormModel:
             J += self.level * (self.U @ self.Q[:, p:p + k].T)
         return J
 
-    def gauss_newton(self):
-        """(J^T r, J^T J) = (Q_p C^T r + level N y, Q_p gram Q_p^T + level^2 N N^T)."""
-        p, k = self.C.shape[1], self.y.size
-        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
-        Jtr = Qp.dot(self.C.T.dot(self.r))
-        JtJ = Qp.dot(self.gram).dot(Qp.T)
-        if k:
-            Jtr += self.level * N.dot(self.y)
-            JtJ += self.level ** 2 * N.dot(N.T)
-        return Jtr, JtJ
-
-
-@dataclass
-class FullModel:
-    """Quadratic model of the sum-of-squares objective derived from a linear model.
-
-    m(s) = c + g.s + 0.5 s.H.s with c = ||r||^2, g = 2 J^T r, H = 2 J^T J,
-    which equals ||r + J s||^2 identically. linear is the linear residual
-    model (r, J) it came from, when there is one: the trust-region step reads
-    its J only when it takes the step from J's SVD.
-    """
-
-    c: float
-    g: np.ndarray
-    H: np.ndarray
-    linear: object = None
-
-    def decrease(self, s):
-        s = np.asarray(s, dtype=float)
-        return -(self.g.dot(s)) - 0.5 * (s.dot(self.H).dot(s))
+    def hull(self):
+        """Q_p, the orthonormal basis of the growing set's displacements."""
+        return self.Q[:, :self.C.shape[1]]
 
 
 @dataclass
@@ -590,12 +590,6 @@ def build_linear_model(iset, repair_rank=True):
     return fit_model_and_basis(iset, repair_rank)[0]
 
 
-def full_model(lm):
-    """Quadratic objective model ||r + J s||^2 from a linear residual model."""
-    Jtr, JtJ = lm.gauss_newton()
-    return FullModel(c=float(lm.r.dot(lm.r)), g=2.0 * Jtr, H=2.0 * JtJ, linear=lm)
-
-
 def _solve_interpolation(iset):
     """(W^+, its columns as the Lagrange basis at the base point, alpha); p >= n."""
     Z, alpha = iset.pseudo_inverse()
@@ -622,19 +616,19 @@ def fit_model_and_basis(iset, repair_rank=True):
     differences. Its rank p is then repaired (unless repair_rank is false, for
     the perturbed-step growing variant) by raising min(n, m) - p more singular
     values to sigma_p along the complements of the two QRs, which the set
-    keeps across appends and base moves (InterpolationSet.min_norm_model). r
-    and J are not tested for finiteness here; a non-finite one shows in
-    full_model's g or H.
+    keeps across appends and base moves (InterpolationSet.min_norm_model).
+    Either model is also its Gauss-Newton quadratic ||r + J s||^2 (FullModel),
+    the one object the trust-region step and the solver loop read. r and J
+    are not tested for finiteness here; a non-finite one shows in g or H.
     """
     p = iset.npt - 1
     if p >= iset.n:
         Z, basis, alpha = _solve_interpolation(iset)
         Zm = Z @ iset.values
-        return LinearResidualModel(r=Zm[0].copy(), J=Zm[1:].T / alpha, alpha=alpha), basis
-    alpha = set_radius(iset)
-    if alpha <= 0.0:
+        return LinearResidualModel(r=Zm[0].copy(), J=Zm[1:].T / alpha), basis
+    if set_radius(iset) <= 0.0:
         raise DegenerateSetError("degenerate interpolation set")
-    return iset.min_norm_model(alpha, repair_rank), None
+    return iset.min_norm_model(repair_rank), None
 
 
 def _bounds_arrays(bounds, n):

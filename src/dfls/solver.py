@@ -30,7 +30,6 @@ from .model import (
     build_initial_set,
     choose_point_to_replace,
     fit_model_and_basis,
-    full_model,
     geometry_point,
     lagrange_basis,
     needs_geometry_improvement,
@@ -432,11 +431,6 @@ class _Loop:
         d = random_unit(self.rng, self.n)
         self._move_point(t, self._clip(self.iset.base_point() + self.delta * d))
 
-    def _hull(self, lm):
-        """Orthonormal basis of a growing set's displacements: Q_p, or I_n once p >= n."""
-        p = self.iset.npt - 1
-        return lm.Q[:, :p] if p < self.n else np.eye(self.n)
-
     def _growing_safety(self, hull):
         """Append a point delta from the base along a direction orthogonal to hull."""
         xk = self.iset.base_point()
@@ -611,9 +605,8 @@ class _Loop:
         except DegenerateSetError:
             self._repair_degenerate()
             return
-        fm = full_model(lm)
         # The model's one finiteness test: a non-finite r or J shows in g or H.
-        if not (np.isfinite(fm.g).all() and np.isfinite(fm.H).all()):
+        if not (np.isfinite(lm.g).all() and np.isfinite(lm.H).all()):
             self._repair_degenerate()
             return
         if self.autodetect:
@@ -621,25 +614,25 @@ class _Loop:
 
         xk = iset.base_point()
         if self.bounds is None:
-            s = solve_trust_region(fm, self.delta)
+            s = solve_trust_region(lm, self.delta)
         else:
-            s = solve_trust_region(fm, self.delta, self.bounds[0] - xk, self.bounds[1] - xk)
+            s = solve_trust_region(lm, self.delta, self.bounds[0] - xk, self.bounds[1] - xk)
         step_norm = math.sqrt(float(s.dot(s)))
 
         if step_norm < p.gamma_safety * self.rho:
-            self._safety_phase(self._hull(lm) if growing else None)
+            self._safety_phase(lm.hull() if growing else None)
             return
 
         if growing and p.growing == "perturb":
-            s = self._perturb(self._hull(lm), s)
+            s = self._perturb(lm.hull(), s)
 
         xnew = self._clip(xk + s)
         rbar, fnew, nsamp = self.evaluate_averaged(xnew)
 
-        pred = fm.decrease(s)
+        pred = lm.decrease(s)
         if not np.isfinite(fnew):
             ratio = -np.inf
-        elif pred <= _PRED_DECREASE_TOL * max(1.0, fm.c):
+        elif pred <= _PRED_DECREASE_TOL * max(1.0, lm.c):
             ratio = -np.inf
         else:
             ratio = (f_base - fnew) / pred

@@ -69,16 +69,21 @@ def _face_steps(s, d, lower, upper):
         return np.where(d > 0, (upper - s) / d, np.where(d < 0, (lower - s) / d, np.inf))
 
 
+def _ball_step(sd, dd, ss, delta):
+    """The t with ||s + t d|| = delta from sd = s.d, dd = d.d and ss = s.s; 0 if none.
+
+    np.sqrt keeps numpy's division: in the CG dd can underflow to 0.
+    """
+    disc = sd * sd + dd * (delta * delta - ss)
+    return (-sd + np.sqrt(disc)) / dd if disc > 0.0 else 0.0
+
+
 def _max_feasible_step(s, d, delta, box=None):
     """Largest t >= 0 with s + t d inside the ball and, unless box is None, the box."""
     dd = float(d.dot(d))
     if dd == 0.0:
         return 0.0
-    # Ball: ||s + t d|| = delta.
-    sd = float(s.dot(d))
-    ss = float(s.dot(s))
-    disc = sd * sd + dd * (delta * delta - ss)
-    t_ball = (-sd + math.sqrt(disc)) / dd if disc > 0.0 else 0.0
+    t_ball = _ball_step(float(s.dot(d)), dd, float(s.dot(s)), delta)
     if box is None:
         return max(0.0, t_ball)
     return max(0.0, min(t_ball, float(np.min(_face_steps(s, d, *box)))))
@@ -208,9 +213,7 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
             dHd = float(d.dot(Hd))
             sd = float(s.dot(d))
             dd = float(d.dot(d))
-            disc = sd * sd + dd * (delta * delta - ss)
-            # np.sqrt keeps numpy's division: dd can underflow to 0.
-            t_ball = (-sd + np.sqrt(disc)) / dd if disc > 0.0 else 0.0
+            t_ball = _ball_step(sd, dd, ss, delta)
             on_ball = dHd <= 1e-15 * dd or rr / dHd >= t_ball
             t = t_ball if on_ball else rr / dHd
             if bounds is not None:
@@ -276,10 +279,11 @@ def _svd_step(J, r, delta):
 def solve_trust_region(model, delta, lower=None, upper=None):
     """Approximate minimizer of the model over the ball intersected with the box.
 
-    When no box face binds, n <= EXACT_STEP_MAX_N and the model carries its
-    linear model (model.linear, as full_model gives it), the step is the
-    exact one from J's SVD. Otherwise it starts from the Cauchy point and is
-    refined by truncated CG (at most 2n iterations). Either step is kept only
+    When no box face binds, n <= EXACT_STEP_MAX_N and the model is a fitted
+    residual model (model.r is not None), the step is the exact one from the
+    SVD of model.J; only then is J read, so a growing model at larger n never
+    forms it. Otherwise the step starts from the Cauchy point and is refined
+    by truncated CG on model.H (at most 2n iterations). Either step is kept only
     when it beats the Cauchy step, so the Cauchy decrease bound holds; it is
     verified on every call and an AssertionError is raised on violation.
     Returns the zero step when the model gradient vanishes. Without lower and
@@ -300,8 +304,8 @@ def solve_trust_region(model, delta, lower=None, upper=None):
         return np.zeros(n)
 
     s = hnorm = None
-    if model.linear is not None and n <= EXACT_STEP_MAX_N and not _binds(box, delta):
-        s, hnorm = _svd_step(model.linear.J, model.linear.r, delta)
+    if n <= EXACT_STEP_MAX_N and model.r is not None and not _binds(box, delta):
+        s, hnorm = _svd_step(model.J, model.r, delta)
     descent = _Descent(model, delta, box, gnorm, hnorm)
     s_c = _finalize(_cauchy_step(descent), box, delta)
     if s is None:

@@ -26,7 +26,7 @@ from dfls.bench import (
     tau_p,
 )
 from dfls.linalg import linear_fit, random_orthonormal
-from dfls.model import InterpolationSet, build_linear_model, full_model
+from dfls.model import InterpolationSet, build_linear_model
 from dfls.params import RestartConfig, SolverParams
 from dfls.problems import DENSE_SET, SCALABLE_SET, NoiseModel, get_problem
 from dfls.trustregion import contract_stats, reset_contract_stats
@@ -182,7 +182,7 @@ def test_criterion_4_full_linearity_scaling():
             iset = InterpolationSet(np.vstack([x, x + delta * Q]))
             for t in range(3):
                 iset.set_value(t, residual(iset.points[t]))
-            fm = full_model(build_linear_model(iset))
+            fm = build_linear_model(iset)
             errs.append(np.linalg.norm(fm.g - grad_f(x)))
         slopes.append(linear_fit(zip(np.log(deltas), np.log(errs))).slope)
     slope = float(np.median(slopes))

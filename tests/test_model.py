@@ -13,7 +13,6 @@ from dfls.model import (
     build_linear_model,
     choose_point_to_replace,
     fit_model_and_basis,
-    full_model,
     geometry_point,
     lagrange_basis,
     needs_geometry_improvement,
@@ -203,8 +202,6 @@ class TestBuildLinearModel:
             Z = np.linalg.lstsq(W, iset.values, rcond=None)[0]
             lm, basis = fit_model_and_basis(iset, repair_rank=False)
             assert basis is None
-            radius = np.max(np.linalg.norm(iset.points - iset.base_point(), axis=1))
-            assert lm.alpha == pytest.approx(radius, rel=1e-15)
             scale = max(np.abs(Z).max(), 1.0)
             np.testing.assert_allclose(lm.r, Z[0], rtol=0, atol=1e-10 * scale)
             np.testing.assert_allclose(lm.J, Z[1:].T, rtol=0, atol=1e-10 * scale)
@@ -218,12 +215,11 @@ class TestBuildLinearModel:
         for _ in range(60):
             iset = random_growing_set(rng, int(rng.integers(2, 12)))
             J_rep = explicit_repair(iset)
-            expected = full_model(LinearResidualModel(iset.base_value(), J_rep, 1.0))
+            expected = LinearResidualModel(iset.base_value(), J_rep)
             lm = fit_model_and_basis(iset)[0]
-            fm = full_model(lm)
-            assert fm.c == expected.c
-            assert_close_rel(fm.g, expected.g, 1e-12)
-            assert_close_rel(fm.H, expected.H, 1e-12)
+            assert lm.c == expected.c
+            assert_close_rel(lm.g, expected.g, 1e-12)
+            assert_close_rel(lm.H, expected.H, 1e-12)
             assert_close_rel(lm.J, J_rep, 1e-12)
             assert_close_rel(build_linear_model(iset).J, J_rep, 1e-12)
 
@@ -276,7 +272,7 @@ class TestBuildLinearModel:
             iset = InterpolationSet(pts)
             for t in range(3):
                 iset.set_value(t, residual(iset.points[t]))
-            fm = full_model(build_linear_model(iset))
+            fm = build_linear_model(iset)
             errs.append(np.linalg.norm(fm.g - grad_f(x)))
         fit = linear_fit(zip(np.log(deltas), np.log(errs)))
         assert fit.slope >= 0.9
@@ -302,7 +298,7 @@ class TestGrowingModelStability:
             for t in range(p + 1):
                 iset.set_value(t, vals[t])
             iset.rebase()
-            return full_model(fit_model_and_basis(iset)[0]).g
+            return fit_model_and_basis(iset)[0].g
 
         g = gradient(values)
         moved = gradient(values * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, values.shape)))
@@ -313,14 +309,14 @@ class TestFullModel:
     def test_zero_residual(self):
         from dfls.model import LinearResidualModel
         J = np.array([[1.0, 2.0], [0.0, 1.0]])
-        fm = full_model(LinearResidualModel(r=np.zeros(2), J=J, alpha=1.0))
+        fm = LinearResidualModel(r=np.zeros(2), J=J)
         assert fm.c == 0.0
         np.testing.assert_allclose(fm.g, 0.0)
         np.testing.assert_allclose(fm.H, 2.0 * J.T @ J)
 
     def test_scalar_case(self):
         from dfls.model import LinearResidualModel
-        fm = full_model(LinearResidualModel(r=np.array([3.0]), J=np.array([[2.0]]), alpha=1.0))
+        fm = LinearResidualModel(r=np.array([3.0]), J=np.array([[2.0]]))
         assert fm.c == 9.0
         np.testing.assert_allclose(fm.g, [12.0])
         np.testing.assert_allclose(fm.H, [[8.0]])
@@ -330,7 +326,7 @@ class TestFullModel:
         rng = np.random.default_rng(7)
         r = rng.standard_normal(4)
         J = rng.standard_normal((4, 3))
-        fm = full_model(LinearResidualModel(r=r, J=J, alpha=1.0))
+        fm = LinearResidualModel(r=r, J=J)
         for _ in range(10):
             s = rng.standard_normal(3)
             direct = np.linalg.norm(r + J @ s) ** 2
@@ -925,7 +921,7 @@ def assert_kept_factors_match_a_fresh_fit(iset):
     assert lm.level == pytest.approx(ref.level, rel=1e-10)
     assert lm.y.size == ref.y.size
     if lm.y.size == n - p:
-        assert_close_rel(full_model(lm).H, full_model(ref).H, 1e-10)
+        assert_close_rel(lm.H, ref.H, 1e-10)
     return lm
 
 

@@ -20,8 +20,8 @@ from dfls.params import (
 from dfls.linalg import RANK_TOL, DegenerateSetError, orthogonal_complement_direction, random_unit
 from dfls.model import (
     InterpolationSet,
+    MinNormModel,
     fit_model_and_basis,
-    full_model,
     geometry_point,
     lagrange_basis,
 )
@@ -151,7 +151,7 @@ class TestSafetyPhase:
         xk = loop.iset.base_point()
         old_dirs = np.delete(loop.iset.points, loop.iset.base_index, axis=0) - xk
         lm, _ = fit_model_and_basis(loop.iset)
-        loop._safety_phase(loop._hull(lm))
+        loop._safety_phase(lm.hull())
         assert loop.iset.npt == 4
         new_dir = loop.iset.points[-1] - xk
         assert np.all(np.abs(old_dirs @ new_dir) <= 1e-10)
@@ -169,7 +169,7 @@ class TestSafetyPhase:
         lm, _ = fit_model_and_basis(loop.iset)
         ref = copy.deepcopy(loop.rng)
         expected = loop.iset.base_point() + loop.delta * random_unit(ref, loop.n)
-        loop._safety_phase(loop._hull(lm))
+        loop._safety_phase(lm.hull())
         assert loop.iset.npt == loop.n + 2
         np.testing.assert_array_equal(loop.iset.points[-1], expected)
         assert loop.rng.bit_generator.state == ref.bit_generator.state
@@ -191,7 +191,7 @@ def check_growing_complement(n, p, m, bounded, seed):
     D = np.delete(iset.points, iset.base_index, axis=0) - xk
     dnorm = np.linalg.norm(D, axis=1)
     lm, _ = fit_model_and_basis(iset, repair_rank=False)
-    hull = loop._hull(lm)
+    hull = lm.hull()
     assert hull.shape == (n, p)
     assert np.linalg.norm(D.T - hull @ (hull.T @ D.T)) <= 1e-10 * np.linalg.norm(D)
 
@@ -199,13 +199,12 @@ def check_growing_complement(n, p, m, bounded, seed):
     assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
     assert np.all(np.abs(D @ d) <= 1e-10 * dnorm)
 
-    fm = full_model(lm)
     if bounded:
         # A box well inside the ball, so that faces cut the step.
         lower = -0.1 * loop.delta * rng.uniform(0.0, 1.0, n)
-        s = solve_trust_region(fm, loop.delta, lower, 0.1 * loop.delta * rng.uniform(0.0, 1.0, n))
+        s = solve_trust_region(lm, loop.delta, lower, 0.1 * loop.delta * rng.uniform(0.0, 1.0, n))
     else:
-        s = solve_trust_region(fm, loop.delta)
+        s = solve_trust_region(lm, loop.delta)
     snorm = np.linalg.norm(s)
     leaves = np.linalg.norm(s - hull @ (hull.T @ s)) > RANK_TOL * snorm
     assert bounded or not leaves  # unbounded, g and H lie in span(Q_p), so s does too
@@ -220,6 +219,36 @@ def check_growing_complement(n, p, m, bounded, seed):
         assert np.all(np.abs(D @ d) <= 1e-10 * dnorm)
         assert abs(s @ d) <= 1e-10 * snorm
     return leaves
+
+
+def chained_rosen(x):
+    return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]])
+
+
+class TestLazyGrowingJacobian:
+    """A growing model forms its m x n Jacobian only when the SVD step reads it."""
+
+    @staticmethod
+    def jacobian_reads(monkeypatch, n):
+        reads = []
+        lazy = MinNormModel.J
+
+        def counted(model):
+            reads.append(model)
+            return lazy.func(model)
+
+        monkeypatch.setattr(MinNormModel, "J", property(counted))
+        res = solve(chained_rosen, np.full(n, -1.0), seed=0,
+                    params=SolverParams(p_init=1, max_evals=3 * (n + 1)))
+        assert res.diagnostics["refactorizations"]["growing_first"] >= 1
+        return len(reads)
+
+    def test_a_growing_solve_beyond_the_svd_cutoff_never_forms_j(self, monkeypatch):
+        assert dfls.trustregion.EXACT_STEP_MAX_N < 25
+        assert self.jacobian_reads(monkeypatch, 25) == 0
+
+    def test_the_svd_step_reads_it_below_the_cutoff(self, monkeypatch):
+        assert self.jacobian_reads(monkeypatch, 10) > 0
 
 
 class TestGrowingComplement:
@@ -240,6 +269,15 @@ class TestGrowingComplement:
         # from J's SVD, whose right singular vectors of nonzero singular values
         # span J's row space, span(Q_p).
         assert not check_growing_complement(11, 5, 5, False, 73596)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the CG's stopping test lies below the rounding level of its "
+                              "residual, so it runs on past the minimizer and out of span(Q_p)")
+    def test_the_cg_step_on_the_same_model_stays_in_the_span(self, monkeypatch):
+        # The example above with the SVD step switched off: the unbounded step
+        # comes from the CG on H, as every step at n > EXACT_STEP_MAX_N does.
+        monkeypatch.setattr(dfls.trustregion, "EXACT_STEP_MAX_N", 10)
+        check_growing_complement(11, 5, 5, False, 73596)
 
 
 class TestEvaluateAveraged:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfls import trustregion as tr
-from dfls.model import FullModel, LinearResidualModel, _bounds_arrays, full_model
+from dfls.model import FullModel, LinearResidualModel, _bounds_arrays
 from dfls.trustregion import contract_stats, solve_trust_region
 
 
@@ -406,7 +406,7 @@ class TestExactStep:
             J = scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
         r = scale * rng.standard_normal(m)
         delta = 10.0 ** log_delta
-        model = full_model(LinearResidualModel(r=r, J=J, alpha=1.0))
+        model = LinearResidualModel(r=r, J=J)
         assume(np.any(model.g))
         assert n <= tr.EXACT_STEP_MAX_N
         top = np.linalg.eigvalsh(model.H)[-1]
@@ -434,7 +434,7 @@ class TestExactStep:
         rng = np.random.default_rng(5)
         for n, bounded in ((3, True), (tr.EXACT_STEP_MAX_N + 1, False)):
             J = rng.standard_normal((n + 2, n))
-            model = full_model(LinearResidualModel(r=rng.standard_normal(n + 2), J=J, alpha=1.0))
+            model = LinearResidualModel(r=rng.standard_normal(n + 2), J=J)
             bare = FullModel(c=model.c, g=model.g, H=model.H)
             box = (-0.01 * np.ones(n), 0.01 * np.ones(n)) if bounded else ()
             assert (solve_trust_region(model, 1.0, *box).tobytes()
@@ -450,7 +450,7 @@ class TestExactStep:
         V = np.linalg.qr(rng.standard_normal((n, n)))[0]
         J = (U * np.logspace(0.0, -7.0, n)) @ V.T
         r = U @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(31)
-        model = full_model(LinearResidualModel(r=r, J=J, alpha=1.0))
+        model = LinearResidualModel(r=r, J=J)
         newton = np.linalg.lstsq(J, -r, rcond=None)[0]
         s = solve_trust_region(model, 1e10)
         np.testing.assert_allclose(s, newton, rtol=1e-6)
