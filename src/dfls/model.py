@@ -54,6 +54,8 @@ MIN_INITIAL_STEP_FRAC = 1e-3
 INVERSE_DENOM_TOL = 1e-3
 INVERSE_PROBE_TOL = 1e-10
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class _GrowingFactors:
@@ -427,14 +429,32 @@ class InterpolationSet:
         return int(dist.argmax())
 
 
+def _spectral_norm(H):
+    # H is symmetric PSD, so the spectral norm is the top eigenvalue.
+    if H.shape[0] == 1:
+        return abs(float(H[0, 0]))
+    return float(np.linalg.eigvalsh(H)[-1])
+
+
+def _certified(bound, n):
+    """bound raised by 4(n+4) eps, a margin for the rounding of it and of eigvalsh."""
+    return bound * (1.0 + 4.0 * (n + 4) * _EPS)
+
+
 @dataclass
 class FullModel:
     """Quadratic model m(s) = c + g.s + 0.5 s.H.s of the sum-of-squares objective.
 
-    The two fitted models below are FullModels with c = ||r||^2, g = 2 J^T r
-    and H = 2 J^T J, set once when they are built, so m(s) = ||r + J s||^2
-    identically; the trust-region step reads their r and J when it takes the
-    step from J's SVD. A bare (c, g, H) quadratic has r = None.
+    The trust-region step and the solver loop ask three things of H: the
+    product hdot(v) = H v, a certified upper bound hnorm_bound() >= ||H|| and
+    the exact spectral norm hnorm(). They also read the curvature
+    curvature(v) = v.H.v. A bare (c, g, H) quadratic, which only the tests
+    build, answers from H, by row sums and eigvalsh, and has r = None. The two
+    fitted models below are FullModels with c = ||r||^2 and g = 2 J^T r, so
+    m(s) = ||r + J s||^2 identically. They answer from J or its factors and
+    form H = 2 J^T J only when it is read, which nothing in the solver does.
+    The trust-region step reads their r and J when it takes the step from
+    J's SVD.
     """
 
     c: float
@@ -442,9 +462,22 @@ class FullModel:
     H: np.ndarray
     r = None
 
+    def hdot(self, v):
+        return self.H.dot(v)
+
+    def curvature(self, v):
+        return float(v.dot(self.H).dot(v))
+
+    def hnorm_bound(self):
+        """The largest absolute row sum of H."""
+        return _certified(float(np.abs(self.H).sum(axis=1).max()), self.g.size)
+
+    def hnorm(self):
+        return _spectral_norm(self.H)
+
     def decrease(self, s):
         s = np.asarray(s, dtype=float)
-        return -(self.g.dot(s)) - 0.5 * (s.dot(self.H).dot(s))
+        return -(self.g.dot(s)) - 0.5 * self.curvature(s)
 
     def hull(self):
         """Orthonormal basis of the set's displacements: I_n once they span R^n."""
@@ -452,12 +485,36 @@ class FullModel:
 
 
 class LinearResidualModel(FullModel):
-    """Linear residual model r(x_k + s) ~ r_k + J_k s around the base point."""
+    """Linear residual model r(x_k + s) ~ r_k + J_k s around the base point.
+
+    H = 2 J^T J answers from J: H v = 2 J^T (J v), v.H.v = 2 ||J v||^2,
+    ||H|| <= 2 ||J||_F^2 and ||H|| = 2 sigma_1(J)^2.
+    """
 
     def __init__(self, r, J):
         self.r = r             # (m,)
         self.J = J             # (m, n)
-        super().__init__(float(r.dot(r)), 2.0 * J.T.dot(r), 2.0 * J.T.dot(J))
+        self.c = float(r.dot(r))
+        self.g = 2.0 * J.T.dot(r)
+
+    @cached_property
+    def H(self):
+        return 2.0 * self.J.T.dot(self.J)
+
+    def hdot(self, v):
+        return 2.0 * self.J.T.dot(self.J.dot(v))
+
+    def curvature(self, v):
+        Jv = self.J.dot(v)
+        return 2.0 * float(Jv.dot(Jv))
+
+    def hnorm_bound(self):
+        """2 ||J||_F^2."""
+        f = self.J.ravel("K")
+        return _certified(2.0 * float(f.dot(f)), self.g.size)
+
+    def hnorm(self):
+        return 2.0 * float(np.linalg.norm(self.J, 2)) ** 2
 
 
 class MinNormModel(FullModel):
@@ -466,8 +523,11 @@ class MinNormModel(FullModel):
     J = C Q_p^T + level U N^T: Q = [Q_p, N, ...] is the complete orthogonal
     factor of the displacements' QR (Q_p spans them), U the k = y.size
     complement columns of C's complete Householder factor, and y = U^T r
-    (k = 0 without a rank repair). J^T r = Q_p C^T r + level N y and
-    J^T J = Q_p gram Q_p^T + level^2 N N^T never form J; reading J does, once.
+    (k = 0 without a rank repair). J^T r = Q_p C^T r + level N y, and with
+    Q~ = Q[:, :p+k], H = 2 Q~ blockdiag(gram, level^2 I_k) Q~^T: H v, v.H.v,
+    the bound 2 max(largest row sum of gram, level^2) and ||H|| =
+    2 max(lambda_max(gram), level^2) come from the p x p gram = C^T C and
+    Q~^T v. Neither J nor H is formed unless it is read.
     """
 
     def __init__(self, r, Q, C, gram, level, y, U):
@@ -479,13 +539,21 @@ class MinNormModel(FullModel):
         self.y = y             # (k,)
         self.U = U             # (m, k)
         p, k = C.shape[1], y.size
-        Qp, N = Q[:, :p], Q[:, p:p + k]
-        Jtr = Qp.dot(C.T.dot(r))
-        JtJ = Qp.dot(gram).dot(Qp.T)
+        self._basis = Q[:, :p + k]
+        Jtr = Q[:, :p].dot(C.T.dot(r))
         if k:
-            Jtr += level * N.dot(y)
-            JtJ += level ** 2 * N.dot(N.T)
-        super().__init__(float(r.dot(r)), 2.0 * Jtr, 2.0 * JtJ)
+            Jtr += level * Q[:, p:p + k].dot(y)
+        self.c = float(r.dot(r))
+        self.g = 2.0 * Jtr
+
+    @cached_property
+    def H(self):
+        p, k = self.C.shape[1], self.y.size
+        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
+        JtJ = Qp.dot(self.gram).dot(Qp.T)
+        if k:
+            JtJ += self.level ** 2 * N.dot(N.T)
+        return 2.0 * JtJ
 
     @cached_property
     def J(self):
@@ -494,6 +562,27 @@ class MinNormModel(FullModel):
         if k:
             J += self.level * (self.U @ self.Q[:, p:p + k].T)
         return J
+
+    def hdot(self, v):
+        a = v.dot(self._basis)
+        p = self.gram.shape[0]
+        a[:p] = self.gram.dot(a[:p])
+        a[p:] *= self.level ** 2
+        return 2.0 * self._basis.dot(a)
+
+    def curvature(self, v):
+        a = v.dot(self._basis)
+        p = self.gram.shape[0]
+        ap, ak = a[:p], a[p:]
+        return 2.0 * (float(ap.dot(self.gram.dot(ap))) + self.level ** 2 * float(ak.dot(ak)))
+
+    def hnorm_bound(self):
+        """2 max(largest absolute row sum of gram, level^2)."""
+        top = float(np.abs(self.gram).sum(axis=1).max())
+        return _certified(2.0 * max(top, self.level ** 2), self.g.size)
+
+    def hnorm(self):
+        return 2.0 * max(_spectral_norm(self.gram), self.level ** 2)
 
     def hull(self):
         """Q_p, the orthonormal basis of the growing set's displacements."""
@@ -619,7 +708,8 @@ def fit_model_and_basis(iset, repair_rank=True):
     keeps across appends and base moves (InterpolationSet.min_norm_model).
     Either model is also its Gauss-Newton quadratic ||r + J s||^2 (FullModel),
     the one object the trust-region step and the solver loop read. r and J
-    are not tested for finiteness here; a non-finite one shows in g or H.
+    are not tested for finiteness here; a non-finite one shows in g or in
+    hnorm_bound().
     """
     p = iset.npt - 1
     if p >= iset.n:

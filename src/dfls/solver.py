@@ -605,8 +605,10 @@ class _Loop:
         except DegenerateSetError:
             self._repair_degenerate()
             return
-        # The model's one finiteness test: a non-finite r or J shows in g or H.
-        if not (np.isfinite(lm.g).all() and np.isfinite(lm.H).all()):
+        # The model's one finiteness test: a non-finite r or J shows in g or in
+        # the bound on ||H|| (2 ||J||_F^2, or the growing factors' bound),
+        # which also overflows wherever 2 J^T J would.
+        if not (np.isfinite(lm.g).all() and math.isfinite(lm.hnorm_bound())):
             self._repair_degenerate()
             return
         if self.autodetect:

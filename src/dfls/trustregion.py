@@ -2,10 +2,13 @@
 
 The quadratic model here always has a positive-semidefinite Hessian: it is
 m(s) = ||r + J s||^2 with g = 2 J^T r and H = 2 J^T J (the Gauss-Newton
-construction). When no box face binds and n is at most EXACT_STEP_MAX_N, the
-step is the exact minimizer of ||r + J s|| over the ball, taken from J's thin
-SVD with Newton's method on the secular equation (More 1978; More and
-Sorensen 1983). It works on cond(J), where a CG on H would see cond(J)^2.
+construction). H is never read as a matrix: the model answers the product
+H v (hdot), the curvature v.H.v, a certified upper bound on ||H||
+(hnorm_bound) and ||H|| itself (hnorm), from J or from a growing set's
+factors (FullModel). When no box face binds and n is at most
+EXACT_STEP_MAX_N, the step is the exact minimizer of ||r + J s|| over the
+ball, taken from J's thin SVD with Newton's method on the secular equation
+(More 1978; More and Sorensen 1983). It works on cond(J), where a CG on H would see cond(J)^2.
 Otherwise one truncated conjugate-gradient loop from the Cauchy point serves
 the ball and the box alike: Steihaug CG that stops at the ball boundary and,
 when a step reaches a box face, holds that coordinate fixed and restarts on
@@ -22,10 +25,10 @@ bounds on ||H||, are computed once per step and shared by the Cauchy step,
 the CG and the audit. The exact spectral norm ||H|| enters only two tests,
 the Cauchy step's degenerate-curvature test and the bound above, and each is
 monotone in it. On the SVD path ||H|| is 2 sigma_1^2 exactly. Otherwise both
-tests are first decided from certified bounds on ||H|| that cost O(n^2); the
-eigendecomposition runs only when a bound cannot decide, and the test is
-then repeated with the exact norm, so steps and audit outcomes are those of
-the exact test.
+tests are first decided from certified bounds on ||H||: ||H d|| below and the
+model's hnorm_bound above. The model's exact norm is asked for only when a
+bound cannot decide, and the test is then repeated with it, so steps and
+audit outcomes are those of the exact test.
 """
 
 import math
@@ -107,7 +110,7 @@ class _Descent:
         self.t_max = _max_feasible_step(np.zeros(self.d.size), self.d, delta,
                                         box if self.box else None)
         self.t_reach = self.t_max if self.box else delta
-        self.hnorm = _HessianNorm(model.H, self.d, exact_hnorm)
+        self.hnorm = _HessianNorm(model, self.d, exact_hnorm)
 
 
 def _binds(box, delta):
@@ -136,43 +139,34 @@ def _cauchy_step(descent):
     return min(t_opt, descent.t_max) * descent.d
 
 
-def _spectral_norm(H):
-    # H is symmetric PSD, so the spectral norm is the top eigenvalue.
-    if H.shape[0] == 1:
-        return abs(float(H[0, 0]))
-    return float(np.linalg.eigvalsh(H)[-1])
-
-
 class _HessianNorm:
     """Certified bounds lower <= ||H|| <= upper, and ||H|| itself on demand.
 
-    d is a unit vector (-g/||g||). lower is ||d^T H||, taken from the product
-    that also gives the curvature d.H.d (evaluated as (d @ H) @ d, as the
-    Cauchy point always did); upper is the largest absolute row sum of H.
-    Each carries a 4(n+4) eps margin for the rounding of both norms and of
-    eigvalsh. exact() runs the eigendecomposition once, counts it, and then
-    serves as both bounds; non-finite bounds get it at once. A norm known
-    beforehand (2 sigma_1^2 from J's SVD) is given as exact and serves as
-    both bounds from the start.
+    d is a unit vector (-g/||g||) and curv the model's curvature d.H.d. lower
+    is ||H d||, from the model's product hdot(d), less a 4(n+4) eps margin for
+    its rounding; upper is the model's certified hnorm_bound(). exact() asks
+    the model for hnorm() once, counts it, and then serves as both bounds;
+    non-finite bounds get it at once. A norm known beforehand (2 sigma_1^2
+    from J's SVD) is given as exact and serves as both bounds from the start,
+    and then no product H d is taken.
     """
 
-    def __init__(self, H, d, exact=None):
-        dH = d.dot(H)
-        self.H = H
-        self.curv = float(dH.dot(d))
+    def __init__(self, model, d, exact=None):
+        self.model = model
+        self.curv = model.curvature(d)
         self._exact = exact
         if exact is not None:
             self.lower = self.upper = exact
             return
-        margin = 4.0 * (d.size + 4) * _EPS
-        self.lower = math.sqrt(float(dH.dot(dH))) * (1.0 - margin)
-        self.upper = float(np.abs(H).sum(axis=1).max()) * (1.0 + margin)
+        Hd = model.hdot(d)
+        self.lower = math.sqrt(float(Hd.dot(Hd))) * (1.0 - 4.0 * (d.size + 4) * _EPS)
+        self.upper = model.hnorm_bound()
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             self.exact()
 
     def exact(self):
         if self._exact is None:
-            self._exact = _spectral_norm(self.H)
+            self._exact = self.model.hnorm()
             self.lower = self.upper = self._exact
             _STATS["exact_norms"] += 1
         return self._exact
@@ -186,9 +180,11 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
     it, fixes that coordinate and restarts CG on the others. Stops at the
     ball boundary, on a residual below 1e-14 max(1, ||g||), or after
     max_iter iterations in all. Without bounds the arithmetic is plain
-    Steihaug CG with ||s||^2 updated incrementally.
+    Steihaug CG with ||s||^2 updated incrementally. H enters only through
+    the model's products hdot, so on a growing model every product, and with
+    it every residual and direction, lies in span(Q[:, :p+k]).
     """
-    H = model.H
+    hdot = model.hdot
     g = model.g
     s = s0.copy()
     tol = 1e-28 * max(1.0, float(g.dot(g)))
@@ -198,7 +194,7 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
         tol_up = np.where(np.isfinite(upper), _FEAS_TOL * np.maximum(1.0, np.abs(upper)), 0.0)
     iters = 0
     while True:
-        r = -(g + H.dot(s))
+        r = -(g + hdot(s))
         if bounds is not None:
             fixed = ((s <= lower + tol_lo) & (r <= 0)) | ((s >= upper - tol_up) & (r >= 0))
             r[fixed] = 0.0
@@ -209,7 +205,7 @@ def _truncated_cg(model, s0, delta, max_iter, bounds=None):
         ss = float(s.dot(s))
         while iters < max_iter:
             iters += 1
-            Hd = H.dot(d)
+            Hd = hdot(d)
             dHd = float(d.dot(Hd))
             sd = float(s.dot(d))
             dd = float(d.dot(d))
@@ -283,9 +279,10 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     residual model (model.r is not None), the step is the exact one from the
     SVD of model.J; only then is J read, so a growing model at larger n never
     forms it. Otherwise the step starts from the Cauchy point and is refined
-    by truncated CG on model.H (at most 2n iterations). Either step is kept only
-    when it beats the Cauchy step, so the Cauchy decrease bound holds; it is
-    verified on every call and an AssertionError is raised on violation.
+    by truncated CG on the model's products H v (at most 2n iterations).
+    Neither path forms H. Either step is kept only when it beats the Cauchy
+    step, so the Cauchy decrease bound holds; it is verified on every call
+    and an AssertionError is raised on violation.
     Returns the zero step when the model gradient vanishes. Without lower and
     upper there is no box: no bound vectors are built and no step is clipped.
     """
@@ -318,8 +315,8 @@ def solve_trust_region(model, delta, lower=None, upper=None):
     # models an ill-conditioned interpolation set can produce, while the
     # Cauchy step always evaluates cleanly (its products stay at the scale of
     # the bound).
-    cg = _decrease(model, s, gnorm)
-    cauchy = _decrease(model, s_c, gnorm)
+    cg = _decrease(model, s, gnorm, hnorm)
+    cauchy = _decrease(model, s_c, gnorm, hnorm)
     bound, keep_cg, passes = _certified_audit(gnorm, descent.t_reach, descent.hnorm, cg, cauchy)
 
     _STATS["checks"] += 1
@@ -347,20 +344,27 @@ def _cauchy_bound(gnorm, t_reach, hnorm):
     return 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
 
 
-def _decrease(model, s, gnorm):
+def _decrease(model, s, gnorm, exact=None):
     """Model decrease at s and the rounding error of its evaluation.
 
-    The error is the cancellation error of the two dot products; _audit adds
-    the allowance for exact-equality cases (isotropic H) at the scale of the
-    bound.
+    The error is the cancellation error of g.s and s.H.s; _audit adds the
+    allowance for exact-equality cases (isotropic H) at the scale of the
+    bound. Both come from the product H s, except on the SVD path, where
+    ||H|| = exact is known: there s.H.s is the model's curvature(s),
+    2 ||J s||^2, whose error scales with ||H s|| <= (||H|| s.H.s)^(1/2).
     """
-    Hs = model.H.dot(s)
     gs = float(model.g.dot(s))
-    sHs = float(s.dot(Hs))
+    if exact is None:
+        Hs = model.hdot(s)
+        sHs = float(s.dot(Hs))
+        hs = math.sqrt(float(Hs.dot(Hs)))
+    else:
+        sHs = model.curvature(s)
+        hs = math.sqrt(exact) * math.sqrt(max(sHs, 0.0))
     decrease = -gs - 0.5 * sHs
     n = s.size
     snorm = math.sqrt(float(s.dot(s)))
-    cancel = gnorm * snorm + 0.5 * snorm * math.sqrt(float(Hs.dot(Hs)))
+    cancel = gnorm * snorm + 0.5 * snorm * hs
     return decrease, 8.0 * (n + 4) * _EPS * cancel
 
 

@@ -9,6 +9,7 @@ from dfls.model import (
     InterpolationSet,
     LagrangeBasis,
     LinearResidualModel,
+    MinNormModel,
     build_initial_set,
     build_linear_model,
     choose_point_to_replace,
@@ -331,6 +332,44 @@ class TestFullModel:
             s = rng.standard_normal(3)
             direct = np.linalg.norm(r + J @ s) ** 2
             assert abs(model_value(fm, s) - direct) < 1e-10 * max(1.0, direct)
+
+
+class TestHessianAnswers:
+    """Each fitted model's answers about H = 2 J^T J, from J or from the growing
+    factors, against the H it forms when read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["full", "growing", "repaired"]),
+           deficiency=st.integers(0, 3), p_frac=st.floats(0.0, 1.0),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(n=100, extra_rows=4, seed=0, kind="repaired", deficiency=0, p_frac=0.3, scale=1.0)
+    def test_match_the_formed_hessian(self, n, extra_rows, seed, kind, deficiency, p_frac,
+                                      scale):
+        rng = np.random.default_rng(seed)
+        m = max(1, n + extra_rows)
+        if kind == "full" or n == 1:
+            rank = max(1, min(m, n) - deficiency)
+            J = scale * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+            lm = LinearResidualModel(scale * rng.standard_normal(m), J)
+        else:
+            p = min(max(int(p_frac * n), 1), n - 1)
+            iset = make_set(scale * rng.standard_normal((p + 1, n)),
+                            scale * rng.standard_normal((p + 1, m)))
+            lm = fit_model_and_basis(iset, repair_rank=(kind == "repaired"))[0]
+            assert isinstance(lm, MinNormModel)
+            assert lm.y.size == (max(min(n, m) - p, 0) if kind == "repaired" else 0)
+        H = lm.H
+        top = np.linalg.eigvalsh(H)[-1]
+        assert top > 0.0
+        for v in (rng.standard_normal(n), lm.g, np.linalg.eigh(H)[1][:, 0]):
+            vnorm = np.linalg.norm(v)
+            Hv = lm.hdot(v)
+            assert Hv.shape == (n,)
+            assert np.linalg.norm(Hv - H @ v) <= 1e-12 * top * vnorm
+            assert abs(lm.curvature(v) - v @ H @ v) <= 1e-12 * top * vnorm ** 2
+        assert lm.hnorm_bound() >= top
+        assert abs(lm.hnorm() - top) <= 1e-12 * top
 
 
 class TestLagrangeBasis:
