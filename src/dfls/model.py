@@ -436,9 +436,12 @@ def _spectral_norm(H):
     return float(np.linalg.eigvalsh(H)[-1])
 
 
-def _certified(bound, n):
-    """bound raised by 4(n+4) eps, a margin for the rounding of it and of eigvalsh."""
-    return bound * (1.0 + 4.0 * (n + 4) * _EPS)
+def _certified(bound, n, sign=1.0):
+    """bound moved outward by 4(n+4) eps, a margin for the rounding of it and of eigvalsh.
+
+    sign = 1 raises an upper bound on ||H||, sign = -1 lowers a lower bound.
+    """
+    return bound * (1.0 + sign * 4.0 * (n + 4) * _EPS)
 
 
 @dataclass
@@ -448,13 +451,14 @@ class FullModel:
     The trust-region step and the solver loop ask three things of H: the
     product hdot(v) = H v, a certified upper bound hnorm_bound() >= ||H|| and
     the exact spectral norm hnorm(). They also read the curvature
-    curvature(v) = v.H.v. A bare (c, g, H) quadratic, which only the tests
-    build, answers from H, by row sums and eigvalsh, and has r = None. The two
-    fitted models below are FullModels with c = ||r||^2 and g = 2 J^T r, so
-    m(s) = ||r + J s||^2 identically. They answer from J or its factors and
-    form H = 2 J^T J only when it is read, which nothing in the solver does.
-    The trust-region step reads their r and J when it takes the step from
-    J's SVD.
+    curvature(v) = v.H.v, and along_with_product(v) = (v.H.v, H v), the
+    curvature taken from the product itself. A bare (c, g, H) quadratic, which
+    only the tests build, answers from H, by row sums and eigvalsh, and has
+    r = None. The two fitted models below are FullModels with c = ||r||^2
+    and g = 2 J^T r, so m(s) = ||r + J s||^2 identically. They answer from J
+    or its factors and form H = 2 J^T J only when it is read, which nothing
+    in the solver does. The trust-region step reads their r and J when it
+    takes the step from J's SVD.
     """
 
     c: float
@@ -467,6 +471,10 @@ class FullModel:
 
     def curvature(self, v):
         return float(v.dot(self.H).dot(v))
+
+    def along_with_product(self, v):
+        vH = v.dot(self.H)
+        return float(vH.dot(v)), vH
 
     def hnorm_bound(self):
         """The largest absolute row sum of H."""
@@ -508,13 +516,18 @@ class LinearResidualModel(FullModel):
         Jv = self.J.dot(v)
         return 2.0 * float(Jv.dot(Jv))
 
+    def along_with_product(self, v):
+        Hv = self.hdot(v)
+        return float(v.dot(Hv)), Hv
+
     def hnorm_bound(self):
         """2 ||J||_F^2."""
         f = self.J.ravel("K")
         return _certified(2.0 * float(f.dot(f)), self.g.size)
 
     def hnorm(self):
-        return 2.0 * float(np.linalg.norm(self.J, 2)) ** 2
+        sigma = float(np.linalg.norm(self.J, 2))
+        return 2.0 * sigma * sigma
 
 
 class MinNormModel(FullModel):
@@ -575,6 +588,10 @@ class MinNormModel(FullModel):
         p = self.gram.shape[0]
         ap, ak = a[:p], a[p:]
         return 2.0 * (float(ap.dot(self.gram.dot(ap))) + self.level ** 2 * float(ak.dot(ak)))
+
+    def along_with_product(self, v):
+        Hv = self.hdot(v)
+        return float(v.dot(Hv)), Hv
 
     def hnorm_bound(self):
         """2 max(largest absolute row sum of gram, level^2)."""

@@ -212,6 +212,25 @@ def _residual_array(value):
     return r
 
 
+def _finite_model(lm):
+    """The loop's one finiteness test of a fitted model.
+
+    A non-finite r or J shows in g, or in ||H||. The bound hnorm_bound()
+    decides cheaply when it is finite; since 2 ||J||_F^2 can overflow where
+    every entry of 2 J^T J is finite, an overflowing bound is settled by the
+    exact hnorm(), which overflows, or is nan, only when ||H|| itself is out
+    of range.
+    """
+    if not np.isfinite(lm.g).all():
+        return False
+    if math.isfinite(lm.hnorm_bound()):
+        return True
+    try:
+        return math.isfinite(lm.hnorm())
+    except np.linalg.LinAlgError:
+        return False
+
+
 class _Loop:
     """State and phases of one solver run (single-threaded, owns all state).
 
@@ -605,10 +624,7 @@ class _Loop:
         except DegenerateSetError:
             self._repair_degenerate()
             return
-        # The model's one finiteness test: a non-finite r or J shows in g or in
-        # the bound on ||H|| (2 ||J||_F^2, or the growing factors' bound),
-        # which also overflows wherever 2 J^T J would.
-        if not (np.isfinite(lm.g).all() and math.isfinite(lm.hnorm_bound())):
+        if not _finite_model(lm):
             self._repair_degenerate()
             return
         if self.autodetect:

@@ -35,12 +35,11 @@ import math
 
 import numpy as np
 
-from .model import _bounds_arrays
+from .model import _EPS, _bounds_arrays, _certified
 
 __all__ = ["solve_trust_region", "contract_stats", "reset_contract_stats"]
 
 _FEAS_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 # Unbounded steps of models with at most this many variables are the exact
 # Gauss-Newton step from J's thin SVD; box steps and larger n run the CG on H.
@@ -143,23 +142,24 @@ class _HessianNorm:
     """Certified bounds lower <= ||H|| <= upper, and ||H|| itself on demand.
 
     d is a unit vector (-g/||g||) and curv the model's curvature d.H.d. lower
-    is ||H d||, from the model's product hdot(d), less a 4(n+4) eps margin for
-    its rounding; upper is the model's certified hnorm_bound(). exact() asks
-    the model for hnorm() once, counts it, and then serves as both bounds;
-    non-finite bounds get it at once. A norm known beforehand (2 sigma_1^2
-    from J's SVD) is given as exact and serves as both bounds from the start,
-    and then no product H d is taken.
+    is ||H d||, less the certified margin for its rounding, and curv is
+    d.(H d) from the same product (the model's along_with_product); upper is
+    the model's certified hnorm_bound(). exact() asks the model for hnorm()
+    once, counts it, and then serves as both bounds; non-finite bounds get it
+    at once. A norm known beforehand (2 sigma_1^2 from J's SVD) is given as
+    exact and serves as both bounds from the start; then no product H d is
+    taken, and curv is the model's curvature(d), 2 ||J d||^2.
     """
 
     def __init__(self, model, d, exact=None):
         self.model = model
-        self.curv = model.curvature(d)
         self._exact = exact
         if exact is not None:
+            self.curv = model.curvature(d)
             self.lower = self.upper = exact
             return
-        Hd = model.hdot(d)
-        self.lower = math.sqrt(float(Hd.dot(Hd))) * (1.0 - 4.0 * (d.size + 4) * _EPS)
+        self.curv, Hd = model.along_with_product(d)
+        self.lower = _certified(math.sqrt(float(Hd.dot(Hd))), d.size, -1.0)
         self.upper = model.hnorm_bound()
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             self.exact()

@@ -34,6 +34,7 @@ from dfls.solver import (
     EXIT_SLOW_PROGRESS,
     EXIT_SMALL_OBJECTIVE,
     EXIT_SMALL_TRUST_REGION,
+    _finite_model,
     _Loop,
     _unit_cube_maps,
     auto_detect_restart,
@@ -311,6 +312,19 @@ class TestLazyHessian:
         assert repairs
         lm = fits[repairs[0] - 1]
         assert np.isfinite(lm.g).all() and not np.isfinite(lm.H).all()
+
+    def test_a_bound_that_overflows_alone_keeps_the_model(self):
+        # J = 5e153 I at n = 100: every entry of 2 J^T J (5e307) is finite, but
+        # the bound 2 ||J||_F^2 ~ 5e309 overflows; the exact ||H|| decides.
+        n = 100
+        lm = LinearResidualModel(r=np.ones(n), J=5e153 * np.eye(n))
+        assert not np.isfinite(lm.hnorm_bound())
+        assert np.isfinite(lm.H).all() and np.isfinite(lm.g).all()
+        assert _finite_model(lm)
+        assert not _finite_model(LinearResidualModel(r=np.ones(n), J=1e160 * np.eye(n)))
+        J = np.eye(n)
+        J[0, 1] = np.inf
+        assert not _finite_model(LinearResidualModel(r=np.zeros(n), J=J))
 
 
 class TestGrowingComplement:
