@@ -83,16 +83,17 @@ class InterpolationSet:
     point, by a Sherman-Morrison step when square and a rank-two Woodbury step
     when tall (_update_inverse); pseudo_inverse() maps Z to the current base
     and radius, so neither a base move nor a radius change needs a hook.
-    refactorizations counts the from-scratch factorizations by cause: "first"
-    use, n+1 "updates" (square only), small "denominator", failed "probe".
 
     With p < n points beyond the base the set keeps the growing model's
     factors instead (min_norm_model): an append updates them in O(n^2 + m^2)
     and a base move leaves them as they are, since J, and with it Q_p, C, C^T C
-    and sigma_p, do not depend on the base. growing_refactorizations counts
-    their from-scratch factorizations by cause: "first" use, a "replaced"
-    point, an appended displacement that fails the "rank" test, a failed
-    "probe".
+    and sigma_p, do not depend on the base.
+
+    The set keeps one factorization of either kind, one cause for the next
+    one (_drop) and one count of them by cause, refactorizations. Full:
+    "first" use, n+1 "updates" (square only), small "denominator", failed
+    "probe". Growing, as "growing_<cause>": "first" use, a "replaced" point,
+    an appended displacement that fails the "rank" test, a failed "probe".
 
     base_distances() is computed once per set state: put(), a rebase() that
     moves the base and set_base() drop it, so points and base_index must
@@ -113,16 +114,16 @@ class InterpolationSet:
         else:
             self.sample_counts = np.asarray(sample_counts, dtype=int).copy()
         self.base_index = int(base_index)
-        self._inv = None           # Z in the frame (b_f, alpha_f), or None
+        self._inv = None           # Z in the frame (b_f, alpha_f) while p >= n, or None
         self._frame = None
         self._updates = 0          # rank-one updates since the last factorization
-        self._stale = "first"      # cause of the next factorization
+        self._grown = None         # _GrowingFactors while p < n, or None
+        self._stale = "first"      # cause of the next factorization, of either kind
         self._dist = None          # distances from the base point, or None
         self._probe = None         # the probe vector v of _probe_residual and ||v||
-        self.refactorizations = {"first": 0, "updates": 0, "denominator": 0, "probe": 0}
-        self._grown = None         # _GrowingFactors while p < n, or None
-        self._grown_stale = "first"  # cause of the next growing factorization
-        self.growing_refactorizations = {"first": 0, "replaced": 0, "rank": 0, "probe": 0}
+        self.refactorizations = dict.fromkeys(("first", "updates", "denominator", "probe",
+                                               "growing_first", "growing_replaced",
+                                               "growing_rank", "growing_probe"), 0)
 
     @property
     def npt(self):
@@ -194,38 +195,29 @@ class InterpolationSet:
     def put(self, t, point, value, n_samples=1):
         """Write point and value into slot t (t == npt appends); no rebase."""
         self._dist = None
-        appended = t == self.npt
-        if appended:
-            self.points = np.vstack([self.points, point])
-            self._fvals = np.append(self._fvals, np.inf)
-            self.sample_counts = np.append(self.sample_counts, 1)
-            if self.values is not None:
-                self.values = np.vstack([self.values, np.full(self.values.shape[1], np.nan)])
-            self._drop_inverse("first")
-        else:
+        if t < self.npt:
             if self._inv is not None:
                 self._update_inverse(t, np.asarray(point, dtype=float))
+            elif self.npt <= self.n and (self._grown is not None or self._stale != "first"):
+                self._drop("replaced")  # also after a failed from-scratch fit
             self.points[t] = point
+            self.set_value(t, value, n_samples)
+            return
+        self.points = np.vstack([self.points, point])
+        self._fvals = np.append(self._fvals, np.inf)
+        self.sample_counts = np.append(self.sample_counts, 1)
+        if self.values is not None:
+            self.values = np.vstack([self.values, np.full(self.values.shape[1], np.nan)])
         self.set_value(t, value, n_samples)
-        if appended:
-            if self._grown is not None:
-                self._append_growing(t)
-        elif self._grown is not None or self._grown_stale != "first":
-            self._drop_growing("replaced")  # also after a failed from-scratch fit
+        if self.npt > self.n:
+            self._drop("first")
+        elif self._grown is not None:
+            self._append_growing(t)
 
-    def factorization_counts(self):
-        """refactorizations, then growing_refactorizations with keys "growing_<cause>"."""
-        counts = dict(self.refactorizations)
-        counts.update(("growing_" + cause, c) for cause, c in self.growing_refactorizations.items())
-        return counts
-
-    def _drop_inverse(self, cause):
-        self._inv = None
+    def _drop(self, cause):
+        """Drop the kept factorization, of either kind; cause counts the next one."""
+        self._inv = self._grown = None
         self._stale = cause
-
-    def _drop_growing(self, cause):
-        self._grown = None
-        self._grown_stale = cause
 
     def _append_growing(self, t):
         """Update the growing factors for the point appended at slot t: O(n^2 + m^2).
@@ -233,20 +225,17 @@ class InterpolationSet:
         With d = y_t - x_k, Q gains one reflector (qr_append_column) and C the
         column c = (v_t - r_k - C R[:p, p]) / R[p, p], so that J d = v_t - r_k
         and J keeps its values on the old displacements; C^T C is bordered and
-        C's complete QR gains one reflector too. A set that is full now drops
-        the factors; a |R[p, p]| that fails solve_min_norm's RANK_TOL test
-        against the others drops them for a from-scratch fit.
+        C's complete QR gains one reflector too. A |R[p, p]| that fails
+        solve_min_norm's RANK_TOL test against the others drops them for a
+        from-scratch fit.
         """
         f = self._grown
         p = t - 1  # displacements before the append
-        if t >= self.n:
-            self._grown = None
-            return
         Q, z = qr_append_column(f.Q, p, self.points[t] - self.base_point())
         beta = abs(z[p])
         rdiag = (min(f.rdiag[0], beta), max(f.rdiag[1], beta))
         if not rdiag[0] > RANK_TOL * rdiag[1]:
-            self._drop_growing("rank")
+            self._drop("rank")
             return
         c = (self.values[t] - self.base_value() - f.C.dot(z[:p])) / z[p]
         C = np.column_stack((f.C, c))
@@ -272,18 +261,18 @@ class InterpolationSet:
         """
         f = self._grown
         if f is not None and repair_rank and not f.repair:
-            self._drop_growing("first")
+            self._drop("first")
         elif f is not None and not self._growing_probe_passes(f):
-            self._drop_growing("probe")
+            self._drop("probe")
         r = self.base_value().copy()
         m, p = r.size, self.npt - 1
         k = min(self.n, m) - p if repair_rank else 0
         if self._grown is None:
-            self.growing_refactorizations[self._grown_stale] += 1
+            self.refactorizations["growing_" + self._stale] += 1
             b = self.base_index
             D = np.delete(self.points, b, axis=0) - self.base_point()
             Q, Y, rdiag = solve_min_norm(D, np.delete(self.values, b, axis=0) - r)
-            self._grown_stale = "first"
+            self._stale = "first"
             C = Y.T
             gram, Qc, Rc = clamp_singular_values(C, k) if k > 0 else (C.T @ C, None, None)
             self._grown = _GrowingFactors(Q, C, gram, (rdiag.min(), rdiag.max()), repair_rank,
@@ -336,7 +325,7 @@ class InterpolationSet:
         """
         tall = self.npt > self.n + 1
         if self._updates > self.n and not tall:
-            self._drop_inverse("updates")
+            self._drop("updates")
             return
         Z = self._inv
         base, alpha = self._frame
@@ -347,7 +336,7 @@ class InterpolationSet:
             beta, h, tau = ell.dot(ell), ell0.dot(ell0), ell[t]
             sigma = (1.0 + beta) * (1.0 - h) + tau * tau
             if not sigma >= INVERSE_DENOM_TOL ** 2:
-                self._drop_inverse("denominator")
+                self._drop("denominator")
                 return
             u = ((1.0 - h) * a + tau * b) / sigma
             v = (tau * a - (1.0 + beta) * b) / sigma
@@ -356,7 +345,7 @@ class InterpolationSet:
         else:
             denom = ell[t]
             if not abs(denom) >= INVERSE_DENOM_TOL:
-                self._drop_inverse("denominator")
+                self._drop("denominator")
                 return
             zt = Z[:, t] / denom
             ell[t] -= 1.0
@@ -399,7 +388,7 @@ class InterpolationSet:
             raise DegenerateSetError("degenerate interpolation set")
         if (self._inv is not None and self._updates
                 and not self._probe_residual() <= INVERSE_PROBE_TOL):
-            self._drop_inverse("probe")
+            self._drop("probe")
         if self._inv is None:
             W = _interp_matrix(self, alpha)
             if self.npt == self.n + 1:

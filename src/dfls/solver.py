@@ -73,7 +73,7 @@ class Results:
 
     diagnostics["eval_failures"] counts failed evaluations by exception type
     name or "nonfinite"; diagnostics["refactorizations"] the run's
-    interpolation factorizations by cause (InterpolationSet.factorization_counts:
+    interpolation factorizations by cause (InterpolationSet.refactorizations:
     full sets' causes, then growing sets' as "growing_<cause>").
     """
 
@@ -541,7 +541,6 @@ class _Loop:
         fresh.set_value(0, old.base_value(), old.sample_counts[old.base_index])
         # The run's counts go on.
         fresh.refactorizations = old.refactorizations
-        fresh.growing_refactorizations = old.growing_refactorizations
         self._fill_initial_values(fresh)
         self.iset = fresh
 
@@ -720,7 +719,7 @@ class _Loop:
             "delta": self.delta,
             "rho": self.rho,
             "eval_failures": dict(self.eval_failures),
-            "refactorizations": self.iset.factorization_counts(),
+            "refactorizations": dict(self.iset.refactorizations),
         }
         if self.trace is not None:
             diagnostics["trace"] = self.trace
@@ -809,5 +808,4 @@ def _evaluate_fixed_point(residuals, x, eval_hook):
         eval_hook(1, x.copy(), f, 1)
     return Results(x=x, f=f, n_evals=1, exit_flag=EXIT_SMALL_TRUST_REGION,
                    diagnostics={"iterations": 0, "n_restarts": 0, "eval_failures": {},
-                                "refactorizations":
-                                    InterpolationSet(x).factorization_counts()})
+                                "refactorizations": InterpolationSet(x).refactorizations})

@@ -868,6 +868,20 @@ class TestFixedVariables:
         assert counts.keys() == free.diagnostics["refactorizations"].keys()
         assert set(counts.values()) == {0}
 
+    def test_every_kind_of_solve_reports_the_same_causes_in_the_same_order(self):
+        x0 = np.array([-1.2, 1.0])
+        growing = solve(rosen, x0, params=SolverParams(p_init=1, max_evals=20), seed=0)
+        full = solve(rosen, x0, params=SolverParams(max_evals=20), seed=0)
+        loop = make_loop(rosen, x0, SolverParams(delta0=0.1, noisy=True))
+        loop._do_restart("hard")
+        restarted = loop._results(EXIT_BUDGET)
+        fixed = solve(rosen, x0, bounds=(x0, x0))
+        keys = [list(res.diagnostics["refactorizations"])
+                for res in (growing, full, restarted, fixed)]
+        assert keys[1:] == keys[:1] * 3
+        assert growing.diagnostics["refactorizations"]["growing_first"] >= 1
+        assert full.diagnostics["refactorizations"]["first"] >= 1
+
     def test_a_residual_raising_at_x0_fails_alike_with_every_variable_fixed_or_not(self):
         def residual(x):
             return np.array([1.0 / float(x[0]), x[1]])
