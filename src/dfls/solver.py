@@ -463,11 +463,14 @@ class _Loop:
 
     def _perturb(self, hull, s):
         """s plus growing_perturb_mult * delta times a random unit direction orthogonal
-        to s and to the columns of hull; s itself when they span R^n."""
+        to s and to the columns of hull; s itself when they span R^n.
+
+        s's component q off span(hull) is projected twice: after one pass a q
+        barely above RANK_TOL ||s|| still leans into span(hull) by rounding."""
         q = s - hull.dot(hull.T.dot(s))
-        nq = math.sqrt(float(q.dot(q)))
-        if nq > RANK_TOL * math.sqrt(float(s.dot(s))):
-            hull = np.column_stack([hull, q / nq])
+        if math.sqrt(float(q.dot(q))) > RANK_TOL * math.sqrt(float(s.dot(s))):
+            q -= hull.dot(hull.T.dot(q))
+            hull = np.column_stack([hull, q / math.sqrt(float(q.dot(q)))])
         try:
             d = orthogonal_complement_direction(hull, self.rng)
         except DegenerateSetError:
