@@ -440,8 +440,7 @@ class FullModel:
     The trust-region step and the solver loop ask three things of H: the
     product hdot(v) = H v, a certified upper bound hnorm_bound() >= ||H|| and
     the exact spectral norm hnorm(). They also read the curvature
-    curvature(v) = v.H.v, and along_with_product(v) = (v.H.v, H v), the
-    curvature taken from the product itself. A bare (c, g, H) quadratic, which
+    curvature(v) = v.H.v. A bare (c, g, H) quadratic, which
     only the tests build, answers from H, by row sums and eigvalsh, and has
     r = None. The two fitted models below are FullModels with c = ||r||^2
     and g = 2 J^T r, so m(s) = ||r + J s||^2 identically. They answer from J
@@ -460,10 +459,6 @@ class FullModel:
 
     def curvature(self, v):
         return float(v.dot(self.H).dot(v))
-
-    def along_with_product(self, v):
-        vH = v.dot(self.H)
-        return float(vH.dot(v)), vH
 
     def hnorm_bound(self):
         """The largest absolute row sum of H."""
@@ -504,10 +499,6 @@ class LinearResidualModel(FullModel):
     def curvature(self, v):
         Jv = self.J.dot(v)
         return 2.0 * float(Jv.dot(Jv))
-
-    def along_with_product(self, v):
-        Hv = self.hdot(v)
-        return float(v.dot(Hv)), Hv
 
     def hnorm_bound(self):
         """2 ||J||_F^2."""
@@ -577,10 +568,6 @@ class MinNormModel(FullModel):
         p = self.gram.shape[0]
         ap, ak = a[:p], a[p:]
         return 2.0 * (float(ap.dot(self.gram.dot(ap))) + self.level ** 2 * float(ak.dot(ak)))
-
-    def along_with_product(self, v):
-        Hv = self.hdot(v)
-        return float(v.dot(Hv)), Hv
 
     def hnorm_bound(self):
         """2 max(largest absolute row sum of gram, level^2)."""

@@ -143,7 +143,7 @@ class _HessianNorm:
 
     d is a unit vector (-g/||g||) and curv the model's curvature d.H.d. lower
     is ||H d||, less the certified margin for its rounding, and curv is
-    d.(H d) from the same product (the model's along_with_product); upper is
+    d.(H d) from the same product (the model's hdot); upper is
     the model's certified hnorm_bound(). exact() asks the model for hnorm()
     once, counts it, and then serves as both bounds; non-finite bounds get it
     at once. A norm known beforehand (2 sigma_1^2 from J's SVD) is given as
@@ -158,7 +158,8 @@ class _HessianNorm:
             self.curv = model.curvature(d)
             self.lower = self.upper = exact
             return
-        self.curv, Hd = model.along_with_product(d)
+        Hd = model.hdot(d)
+        self.curv = float(d.dot(Hd))
         self.lower = _certified(math.sqrt(float(Hd.dot(Hd))), d.size, -1.0)
         self.upper = model.hnorm_bound()
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):

@@ -368,8 +368,6 @@ class TestHessianAnswers:
             assert Hv.shape == (n,)
             assert np.linalg.norm(Hv - H @ v) <= 1e-12 * top * vnorm
             assert abs(lm.curvature(v) - v @ H @ v) <= 1e-12 * top * vnorm ** 2
-            curv, product = lm.along_with_product(v)
-            assert product.tobytes() == Hv.tobytes() and curv == float(v.dot(Hv))
         assert lm.hnorm_bound() >= top
         assert abs(lm.hnorm() - top) <= 1e-12 * top
 

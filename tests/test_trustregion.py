@@ -187,7 +187,7 @@ def exact_norm_step(model, delta, lower=None, upper=None):
     t_max = tr._max_feasible_step(np.zeros(n), d, delta, (lo, up) if box else None)
     t_reach = t_max if box else delta
     bound = 0.5 * gnorm * min(t_reach, gnorm / max(hnorm, 1.0))
-    curv = float(d @ H @ d)
+    curv = float(d @ (H @ d))
     if curv > 1e-8 * hnorm and curv > 0.0:
         t_opt = gnorm / curv
     elif hnorm > 0.0:
