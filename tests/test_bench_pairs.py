@@ -1,4 +1,4 @@
-"""The gain verdict of tools/bench_pairs.py on synthetic runs; no benchmark runs."""
+"""The verdicts of tools/bench_pairs.py on synthetic runs; no benchmark runs."""
 
 import importlib.util
 import json
@@ -74,7 +74,49 @@ def test_report_reads_each_metric_in_its_direction():
         return {"result": {"metrics": {"wall_s": {"value": wall}, "profile_auc": {"value": auc}}}}
 
     runs = {"parent": [run(p, 0.5) for p in PARENT],
-            "change": [run(p - 1.0, 0.4) for p in PARENT]}
-    rows = bench_pairs.report(runs, {"wall_s": "lower", "profile_auc": "higher"})
+            "change": [run(p - 1.0, 0.3) for p in PARENT]}
+    rows = bench_pairs.report(runs, [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                                     {"name": "profile_auc", "better": "higher", "bound": 0.2}])
     assert rows["wall_s"]["gain"] and rows["wall_s"]["better"] == "lower"
+    assert rows["wall_s"]["regression"] == "ok"
     assert rows["profile_auc"]["wins"] == 0 and not rows["profile_auc"]["gain"]
+    assert rows["profile_auc"]["regression"] == "worse"
+
+
+def test_a_median_within_the_bound_is_no_regression():
+    # 2% slower against a 25% bound, with a parent IQR of 1.7%.
+    change = [1.02 * p for p in PARENT]
+    assert bench_pairs.no_regression(PARENT, change, "lower", 0.25) == "ok"
+    assert bench_pairs.no_regression(PARENT, change, "lower", 0.01) == "worse"
+
+
+def test_worse_beyond_the_bound_in_either_direction():
+    slower = [1.3 * p for p in PARENT]
+    assert bench_pairs.no_regression(PARENT, slower, "lower", 0.25) == "worse"
+    assert bench_pairs.no_regression(PARENT, slower, "higher", 0.25) == "ok"
+    lower = [0.7 * p for p in PARENT]
+    assert bench_pairs.no_regression(PARENT, lower, "higher", 0.25) == "worse"
+    assert bench_pairs.no_regression(PARENT, lower, "lower", 0.25) == "ok"
+
+
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    # The parent's IQR is 7.5 about a median of 10.5: 71% against a 25% bound.
+    wide = [5.0, 15.0, 6.0, 14.0, 10.0, 11.0, 5.5, 14.5, 7.0, 13.0]
+    assert bench_pairs.no_regression(wide, wide, "lower", 0.25) == "unresolved"
+    assert bench_pairs.no_regression(wide, wide, "lower", 0.75) == "ok"
+    # Clearly worse stays worse, however wide the parent's runs.
+    assert bench_pairs.no_regression(wide, [2.0 * p for p in wide], "lower", 0.25) == "worse"
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved():
+    wide = [5.0, 15.0, 6.0, 14.0, 10.0, 11.0, 5.5, 14.5, 7.0, 13.0]
+    assert bench_pairs.no_regression(wide, [4.0] * 10, "lower", 0.25) == "ok"
+    assert bench_pairs.no_regression(wide, [4.0] * 9 + [5.0], "lower", 0.25) == "unresolved"
+    assert bench_pairs.no_regression(wide, [16.0] * 10, "higher", 0.25) == "ok"
+
+
+def test_a_zero_parent_median_allows_no_loss():
+    zeros = [0.0] * 10
+    assert bench_pairs.no_regression(zeros, zeros, "higher", 0.2) == "ok"
+    assert bench_pairs.no_regression(zeros, [0.1] * 10, "higher", 0.2) == "ok"
+    assert bench_pairs.no_regression(zeros, [0.1] * 10, "lower", 0.2) == "worse"

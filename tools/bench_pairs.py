@@ -8,9 +8,12 @@ in both checkouts, one process each, the change first on odd i. Each run is
 read from its last line (the JSON result) and its ``# identity`` line. For
 every end-to-end metric of the change's BENCHMARK.json the script prints both
 medians, the parent's interquartile range (inclusive quartiles), the pairs the
-change won (ties count for neither) and the verdict: a gain needs wins in at
+change won (ties count for neither) and two verdicts. A gain needs wins in at
 least nine tenths of the pairs and a median gap larger than the parent's IQR.
-``--out`` writes every raw run as JSON.
+The no-regression verdict reads the metric's ``bound``, relative to the
+parent's median: "worse" when the change's median is worse by more than it,
+"unresolved" when the parent's IQR exceeds it (unless every change run beats
+every parent run), and "ok" otherwise. ``--out`` writes every raw run as JSON.
 """
 
 import argparse
@@ -56,6 +59,24 @@ def verdict(parent, change, better):
     }
 
 
+def no_regression(parent, change, better, bound):
+    """The no-regression verdict on runs of both sides: "worse", "unresolved" or "ok".
+
+    bound is relative to the parent's median m: the change is "worse" when its
+    median is worse than m by more than bound |m|, and "unresolved" when the
+    parent's IQR exceeds bound |m|, unless every change run beats every parent
+    run.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    q1, parent_median, q3 = quartiles(parent)
+    allowed = bound * abs(parent_median)
+    if sign * (statistics.median(change) - parent_median) < -allowed:
+        return "worse"
+    if q3 - q1 > allowed and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "ok"
+
+
 def parse_run(stdout):
     """(the identity line after '# identity ', the JSON result) of one run."""
     lines = stdout.strip().splitlines()
@@ -76,18 +97,20 @@ def run_side(root, workload, seed, seconds):
     return {"seed": seed, "exit": proc.returncode, "identity": ident, "result": result}
 
 
-def metric_directions(root):
-    spec = json.loads((Path(root) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+def end_to_end_metrics(root):
+    """BENCHMARK.json's end-to-end metrics: dicts with "name", "better" and "bound"."""
+    return json.loads((Path(root) / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def report(runs, directions):
+def report(runs, metrics):
     """Per-metric verdicts of paired runs: {"parent": [...], "change": [...]}."""
     rows = {}
-    for name, better in directions.items():
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         sides = [[r["result"]["metrics"][name]["value"] for r in runs[side]]
                  for side in ("parent", "change")]
-        rows[name] = dict(verdict(*sides, better), better=better)
+        rows[name] = dict(verdict(*sides, better), better=better,
+                          regression=no_regression(*sides, better, metric["bound"]))
     return rows
 
 
@@ -114,14 +137,15 @@ def main(argv=None):
         same = runs["parent"][-1]["identity"] == runs["change"][-1]["identity"]
         print(f"# pair {i} seed {seed}: identity {'equal' if same else 'differs'}", flush=True)
 
-    rows = report(runs, metric_directions(args.change_dir))
-    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'delta':>9}{'IQR':>12}{'won':>7}  gain")
+    rows = report(runs, end_to_end_metrics(args.change_dir))
+    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'delta':>9}{'IQR':>12}{'won':>7}"
+          f"  gain  regression")
     for name, row in rows.items():
         base = row["parent_median"]
         delta = (row["change_median"] - base) / base if base else float("nan")
         print(f"{name:<14}{base:>12.6g}{row['change_median']:>12.6g}{delta:>+9.1%}"
               f"{row['parent_iqr']:>12.4g}{row['wins']:>4}/{row['pairs']:<2}  "
-              f"{'yes' if row['gain'] else 'no'}")
+              f"{'yes' if row['gain'] else 'no':<4}  {row['regression']}")
     for side in ("parent", "change"):
         bad = [r["seed"] for r in runs[side]
                if r["exit"] or not r["result"]["correct"] or r["result"]["failed"]]
