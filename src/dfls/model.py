@@ -50,7 +50,8 @@ MIN_INITIAL_STEP_FRAC = 1e-3
 # Cached W^+: an update whose denominator |L_t(y)| (square) is below
 # INVERSE_DENOM_TOL, or sigma (tall) below its square, or an updated W^+ whose
 # probe residual exceeds INVERSE_PROBE_TOL, is refactorized from scratch. So
-# are a growing set's kept factors when their probe residual exceeds it.
+# are a growing set's kept factors when their probe residual exceeds it. The
+# probe is the one guard against drift: no count of updates caps either.
 INVERSE_DENOM_TOL = 1e-3
 INVERSE_PROBE_TOL = 1e-10
 
@@ -81,8 +82,10 @@ class InterpolationSet:
     [1, (y_t - b_f)/alpha_f] in a frame (b_f, alpha_f) fixed, and Z tested for
     finiteness, when Z was factorized. put() keeps Z current for each replaced
     point, by a Sherman-Morrison step when square and a rank-two Woodbury step
-    when tall (_update_inverse); pseudo_inverse() maps Z to the current base
-    and radius, so neither a base move nor a radius change needs a hook.
+    when tall (_update_inverse), and every read after an update runs the
+    probe (_probe_residual). pseudo_inverse() returns Z with its frame and
+    its readers work in that frame, so neither a base move nor a radius
+    change needs a hook or a remap.
 
     With p < n points beyond the base the set keeps the growing model's
     factors instead (min_norm_model): an append updates them in O(n^2 + m^2)
@@ -91,9 +94,9 @@ class InterpolationSet:
 
     The set keeps one factorization of either kind, one cause for the next
     one (_drop) and one count of them by cause, refactorizations. Full:
-    "first" use, n+1 "updates" (square only), small "denominator", failed
-    "probe". Growing, as "growing_<cause>": "first" use, a "replaced" point,
-    an appended displacement that fails the "rank" test, a failed "probe".
+    "first" use, small "denominator", failed "probe". Growing, as
+    "growing_<cause>": "first" use, a "replaced" point, an appended
+    displacement that fails the "rank" test, a failed "probe".
 
     base_distances() is computed once per set state: put(), a rebase() that
     moves the base and set_base() drop it, so points and base_index must
@@ -116,14 +119,14 @@ class InterpolationSet:
         self.base_index = int(base_index)
         self._inv = None           # Z in the frame (b_f, alpha_f) while p >= n, or None
         self._frame = None
-        self._updates = 0          # rank-one updates since the last factorization
+        self._updated = False      # Z updated since it was factorized: reads probe it
         self._grown = None         # _GrowingFactors while p < n, or None
         self._stale = "first"      # cause of the next factorization, of either kind
         self._dist = None          # distances from the base point, or None
         self._probe = None         # the probe vector v of _probe_residual and ||v||
-        self.refactorizations = dict.fromkeys(("first", "updates", "denominator", "probe",
-                                               "growing_first", "growing_replaced",
-                                               "growing_rank", "growing_probe"), 0)
+        self.refactorizations = dict.fromkeys(("first", "denominator", "probe", "growing_first",
+                                               "growing_replaced", "growing_rank",
+                                               "growing_probe"), 0)
 
     @property
     def npt(self):
@@ -324,9 +327,6 @@ class InterpolationSet:
         (L_t(y)^2 when square, as h = 1), tested against INVERSE_DENOM_TOL^2.
         """
         tall = self.npt > self.n + 1
-        if self._updates > self.n and not tall:
-            self._drop("updates")
-            return
         Z = self._inv
         base, alpha = self._frame
         ell = Z[0] + ((y - base) / alpha).dot(Z[1:])
@@ -350,7 +350,7 @@ class InterpolationSet:
             zt = Z[:, t] / denom
             ell[t] -= 1.0
             Z -= zt[:, None] * ell
-        self._updates += 1
+        self._updated = True
 
     def _probe_residual(self):
         """Moore-Penrose residual of Z for a fixed v, relative to ||v||, in the frame: O(pn).
@@ -374,19 +374,20 @@ class InterpolationSet:
         return math.sqrt(float(res.dot(res))) / vnorm
 
     def pseudo_inverse(self):
-        """(Z, alpha): W^+ for the p >= n interpolation matrix W (W^{-1} if p == n).
+        """(Z, b_f, alpha_f): W^+ for the p >= n interpolation matrix W, in its frame.
 
-        W has rows [1, (y_t - x_k)/alpha], x_k the base point and alpha the set
-        radius. Column t of Z holds the coefficients of the regression Lagrange
-        polynomial L_t; Z @ values those of the linear model. The cached frame
-        Z is mapped in O(pn), exactly for any full-column-rank W: Z_0 +=
-        ((x_k - b_f)/alpha_f) Z_1:, then Z_1: *= alpha/alpha_f. Raises
+        W has rows [1, (y_t - b_f)/alpha_f] (W^{-1} if p == n), b_f and alpha_f
+        the base point and set radius when Z was factorized; put() keeps Z
+        current in that frame. Column t of Z holds the coefficients of the
+        regression Lagrange polynomial L_t(y) = Z[0, t] + Z[1:, t].(y -
+        b_f)/alpha_f, and Z @ values those of the linear model. Z and b_f are
+        read-only views of the cache, valid until the next put(). Raises
         DegenerateSetError for p < n and for a singular or non-finite system.
         """
         alpha = set_radius(self)
         if self.npt <= self.n or alpha <= 0.0:
             raise DegenerateSetError("degenerate interpolation set")
-        if (self._inv is not None and self._updates
+        if (self._inv is not None and self._updated
                 and not self._probe_residual() <= INVERSE_PROBE_TOL):
             self._drop("probe")
         if self._inv is None:
@@ -400,16 +401,14 @@ class InterpolationSet:
                 inv = solve_regression(W, np.eye(self.npt))
             if not np.isfinite(inv).all():
                 raise DegenerateSetError("degenerate interpolation set")
-            self._inv = inv
-            self._frame = (self.base_point().copy(), alpha)
-            self._updates = 0
+            base = self.base_point().copy()
+            base.flags.writeable = False
+            self._inv, self._frame, self._updated = inv, (base, alpha), False
             self.refactorizations[self._stale] += 1
             self._stale = "first"
-        base, alpha_f = self._frame
-        Z = self._inv.copy()
-        Z[0] += ((self.base_point() - base) / alpha_f).dot(Z[1:])
-        Z[1:] *= alpha / alpha_f
-        return Z, alpha
+        Z = self._inv.view()
+        Z.flags.writeable = False
+        return (Z, *self._frame)
 
     def furthest_index(self):
         """Index of the non-base point furthest from the base point."""
@@ -584,7 +583,11 @@ class MinNormModel(FullModel):
 
 @dataclass
 class LagrangeBasis:
-    """Regression Lagrange polynomials L_t(y) = c[t] + g[t].(y - center)."""
+    """Regression Lagrange polynomials L_t(y) = c[t] + g[t].(y - center).
+
+    The center is the frame's base point b_f (InterpolationSet.pseudo_inverse),
+    and c a read-only view of W^+, valid until the set's next put().
+    """
 
     c: np.ndarray        # (p+1,)
     g: np.ndarray        # (p+1, n)
@@ -673,25 +676,26 @@ def build_linear_model(iset, repair_rank=True):
 
 
 def _solve_interpolation(iset):
-    """(W^+, its columns as the Lagrange basis at the base point, alpha); p >= n."""
-    Z, alpha = iset.pseudo_inverse()
-    basis = LagrangeBasis(c=Z[0].copy(), g=Z[1:].T / alpha, center=iset.base_point().copy())
-    return Z, basis, alpha
+    """(W^+ and alpha_f in the set's frame, its columns as the Lagrange basis); p >= n."""
+    Z, base, alpha = iset.pseudo_inverse()
+    return Z, alpha, LagrangeBasis(c=Z[0], g=Z[1:].T / alpha, center=base)
 
 
 def lagrange_basis(iset):
-    """Regression Lagrange polynomials of the set, centred at the base point.
+    """Regression Lagrange polynomials of the set, centred at its frame's base point.
 
     Requires p >= n points beyond the base and a full-column-rank system.
     """
-    return _solve_interpolation(iset)[1]
+    return _solve_interpolation(iset)[2]
 
 
 def fit_model_and_basis(iset, repair_rank=True):
     """Linear residual model and Lagrange basis of the set from one factorization.
 
     With p >= n points beyond the base the model is the regression fit
-    W^+ values, and the basis the columns of the same cached W^+. With p < n
+    W^+ values, and the basis the columns of the same cached W^+, both read in
+    the set's frame (b_f, alpha_f): J = (W^+ values)[1:]^T / alpha_f and
+    r = (W^+ values)[0] + J (x_k - b_f). With p < n
     the basis is None and the model a MinNormModel: interpolation at the base
     pins r to the base value, and J is the minimal-Frobenius-norm solution of
     D J^T = dV, D the p x n displacements from the base and dV the value
@@ -706,9 +710,10 @@ def fit_model_and_basis(iset, repair_rank=True):
     """
     p = iset.npt - 1
     if p >= iset.n:
-        Z, basis, alpha = _solve_interpolation(iset)
+        Z, alpha, basis = _solve_interpolation(iset)
         Zm = Z @ iset.values
-        return LinearResidualModel(r=Zm[0].copy(), J=Zm[1:].T / alpha), basis
+        J = Zm[1:].T / alpha
+        return LinearResidualModel(r=Zm[0] + J.dot(iset.base_point() - basis.center), J=J), basis
     if set_radius(iset) <= 0.0:
         raise DegenerateSetError("degenerate interpolation set")
     return iset.min_norm_model(repair_rank), None
