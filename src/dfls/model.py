@@ -417,11 +417,11 @@ class InterpolationSet:
         return int(dist.argmax())
 
 
-def _spectral_norm(H):
-    # H is symmetric PSD, so the spectral norm is the top eigenvalue.
-    if H.shape[0] == 1:
-        return abs(float(H[0, 0]))
-    return float(np.linalg.eigvalsh(H)[-1])
+def _spectral_norm(S):
+    # S is symmetric PSD, so the spectral norm is the top eigenvalue.
+    if S.shape[0] == 1:
+        return abs(float(S[0, 0]))
+    return float(np.linalg.eigvalsh(S)[-1])
 
 
 def _certified(bound, n, sign=1.0):
@@ -432,39 +432,16 @@ def _certified(bound, n, sign=1.0):
     return bound * (1.0 + sign * 4.0 * (n + 4) * _EPS)
 
 
-@dataclass
 class FullModel:
-    """Quadratic model m(s) = c + g.s + 0.5 s.H.s of the sum-of-squares objective.
+    """Gauss-Newton model m(s) = ||r + J s||^2 = c + g.s + 0.5 s.H.s of a fitted residual model.
 
-    The trust-region step and the solver loop ask three things of H: the
-    product hdot(v) = H v, a certified upper bound hnorm_bound() >= ||H|| and
-    the exact spectral norm hnorm(). They also read the curvature
-    curvature(v) = v.H.v. A bare (c, g, H) quadratic, which
-    only the tests build, answers from H, by row sums and eigvalsh, and has
-    r = None. The two fitted models below are FullModels with c = ||r||^2
-    and g = 2 J^T r, so m(s) = ||r + J s||^2 identically. They answer from J
-    or its factors and form H = 2 J^T J only when it is read, which nothing
-    in the solver does. The trust-region step reads their r and J when it
-    takes the step from J's SVD.
+    The base of LinearResidualModel and MinNormModel, which set c = ||r||^2
+    and g = 2 J^T r. H = 2 J^T J is never formed: the trust-region step and
+    the solver loop ask each model for the product hdot(v) = H v, the
+    curvature curvature(v) = v.H.v, a certified upper bound hnorm_bound() >=
+    ||H|| and the exact spectral norm hnorm(), which it answers from J or its
+    factors. The step reads r and J when it takes the step from J's SVD.
     """
-
-    c: float
-    g: np.ndarray
-    H: np.ndarray
-    r = None
-
-    def hdot(self, v):
-        return self.H.dot(v)
-
-    def curvature(self, v):
-        return float(v.dot(self.H).dot(v))
-
-    def hnorm_bound(self):
-        """The largest absolute row sum of H."""
-        return _certified(float(np.abs(self.H).sum(axis=1).max()), self.g.size)
-
-    def hnorm(self):
-        return _spectral_norm(self.H)
 
     def decrease(self, s):
         s = np.asarray(s, dtype=float)
@@ -487,10 +464,6 @@ class LinearResidualModel(FullModel):
         self.J = J             # (m, n)
         self.c = float(r.dot(r))
         self.g = 2.0 * J.T.dot(r)
-
-    @cached_property
-    def H(self):
-        return 2.0 * self.J.T.dot(self.J)
 
     def hdot(self, v):
         return 2.0 * self.J.T.dot(self.J.dot(v))
@@ -519,7 +492,7 @@ class MinNormModel(FullModel):
     Q~ = Q[:, :p+k], H = 2 Q~ blockdiag(gram, level^2 I_k) Q~^T: H v, v.H.v,
     the bound 2 max(largest row sum of gram, level^2) and ||H|| =
     2 max(lambda_max(gram), level^2) come from the p x p gram = C^T C and
-    Q~^T v. Neither J nor H is formed unless it is read.
+    Q~^T v. H is never formed, and J only when it is read.
     """
 
     def __init__(self, r, Q, C, gram, level, y, U):
@@ -537,15 +510,6 @@ class MinNormModel(FullModel):
             Jtr += level * Q[:, p:p + k].dot(y)
         self.c = float(r.dot(r))
         self.g = 2.0 * Jtr
-
-    @cached_property
-    def H(self):
-        p, k = self.C.shape[1], self.y.size
-        Qp, N = self.Q[:, :p], self.Q[:, p:p + k]
-        JtJ = Qp.dot(self.gram).dot(Qp.T)
-        if k:
-            JtJ += self.level ** 2 * N.dot(N.T)
-        return 2.0 * JtJ
 
     @cached_property
     def J(self):

@@ -352,7 +352,7 @@ class _Loop:
             diff = J - self.prev_J
             change = float(np.sqrt(np.sum(diff * diff)))
             self.jac_history.append((self.k_local, np.log(max(change, 1e-300))))
-        self.prev_J = J.copy()
+        self.prev_J = J  # each fit returns a fresh J, and nothing writes to it
 
     def _reset_histories(self):
         self.k_local = 0

@@ -1,11 +1,11 @@
 """Bound-constrained trust-region subproblem with a guaranteed Cauchy decrease.
 
-The quadratic model here always has a positive-semidefinite Hessian: it is
-m(s) = ||r + J s||^2 with g = 2 J^T r and H = 2 J^T J (the Gauss-Newton
-construction). H is never read as a matrix: the model answers the product
-H v (hdot), the curvature v.H.v, a certified upper bound on ||H||
-(hnorm_bound) and ||H|| itself (hnorm), from J or from a growing set's
-factors (FullModel). When no box face binds and n is at most
+The model is a fitted residual model (FullModel), the Gauss-Newton quadratic
+m(s) = ||r + J s||^2 with g = 2 J^T r and the positive-semidefinite
+H = 2 J^T J. H is never formed: the model answers the product H v (hdot),
+the curvature v.H.v, a certified upper bound on ||H|| (hnorm_bound) and
+||H|| itself (hnorm), from J or from a growing set's factors. When no box
+face binds and n is at most
 EXACT_STEP_MAX_N, the step is the exact minimizer of ||r + J s|| over the
 ball, taken from J's thin SVD with Newton's method on the secular equation
 (More 1978; More and Sorensen 1983). It works on cond(J), where a CG on H would see cond(J)^2.
@@ -276,9 +276,9 @@ def _svd_step(J, r, delta):
 def solve_trust_region(model, delta, lower=None, upper=None):
     """Approximate minimizer of the model over the ball intersected with the box.
 
-    When no box face binds, n <= EXACT_STEP_MAX_N and the model is a fitted
-    residual model (model.r is not None), the step is the exact one from the
-    SVD of model.J; only then is J read, so a growing model at larger n never
+    model is a fitted residual model (FullModel). When no box face binds and
+    n <= EXACT_STEP_MAX_N, the step is the exact one from the SVD of model.J
+    and model.r; only then is J read, so a growing model at larger n never
     forms it. Otherwise the step starts from the Cauchy point and is refined
     by truncated CG on the model's products H v (at most 2n iterations).
     Neither path forms H. Either step is kept only when it beats the Cauchy
@@ -302,7 +302,7 @@ def solve_trust_region(model, delta, lower=None, upper=None):
         return np.zeros(n)
 
     s = hnorm = None
-    if n <= EXACT_STEP_MAX_N and model.r is not None and not _binds(box, delta):
+    if n <= EXACT_STEP_MAX_N and not _binds(box, delta):
         s, hnorm = _svd_step(model.J, model.r, delta)
     descent = _Descent(model, delta, box, gnorm, hnorm)
     s_c = _finalize(_cauchy_step(descent), box, delta)

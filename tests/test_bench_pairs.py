@@ -120,3 +120,33 @@ def test_a_zero_parent_median_allows_no_loss():
     assert bench_pairs.no_regression(zeros, zeros, "higher", 0.2) == "ok"
     assert bench_pairs.no_regression(zeros, [0.1] * 10, "higher", 0.2) == "ok"
     assert bench_pairs.no_regression(zeros, [0.1] * 10, "lower", 0.2) == "worse"
+
+
+def test_the_setup_probe_runs_only_when_setup_s_is_unresolved_or_worse():
+    def rows(regression):
+        return {"wall_s": {"regression": "unresolved"}, "setup_s": {"regression": regression}}
+
+    assert bench_pairs.setup_probe_needed(rows("unresolved"))
+    assert bench_pairs.setup_probe_needed(rows("worse"))
+    assert not bench_pairs.setup_probe_needed(rows("ok"))
+    assert not bench_pairs.setup_probe_needed({"wall_s": {"regression": "worse"}})
+
+
+def test_the_setup_probe_reads_each_process_as_its_median():
+    # Each process's calls: its median among outliers, as compile time gives.
+    def process(median):
+        return [median, 3.0 * median, median - 0.001, 0.5 * median, median + 0.001]
+
+    parent = [process(p) for p in PARENT]
+    change = [process(1.02 * p) for p in PARENT]
+    probe = bench_pairs.setup_probe_report({"parent": parent, "change": change}, 0.25)
+    assert probe["medians"]["parent"] == PARENT
+    assert probe["medians"]["change"] == pytest.approx([1.02 * p for p in PARENT])
+    assert probe["parent_median"] == pytest.approx(10.05)
+    assert probe["wins"] == 0 and not probe["gain"]
+    assert probe["regression"] == "ok"
+    slower = [process(1.3 * p) for p in PARENT]
+    assert bench_pairs.setup_probe_report({"parent": parent, "change": slower},
+                                          0.25)["regression"] == "worse"
+    faster = [process(p - 1.0) for p in PARENT]
+    assert bench_pairs.setup_probe_report({"parent": parent, "change": faster}, 0.25)["gain"]

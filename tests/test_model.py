@@ -20,6 +20,8 @@ from dfls.model import (
     set_radius,
 )
 
+from quadratic import formed_hessian
+
 
 def make_set(points, values):
     iset = InterpolationSet(np.asarray(points, dtype=float))
@@ -30,9 +32,9 @@ def make_set(points, values):
 
 
 def model_value(fm, s):
-    """m(s) = c + g.s + 0.5 s.H.s of a FullModel."""
+    """m(s) = c + g.s + 0.5 s.H.s of a fitted model."""
     s = np.asarray(s, dtype=float)
-    return fm.c + fm.g @ s + 0.5 * (s @ fm.H @ s)
+    return fm.c + fm.g @ s + 0.5 * (s @ formed_hessian(fm) @ s)
 
 
 def poisedness_estimate(iset, center, delta):
@@ -220,7 +222,7 @@ class TestBuildLinearModel:
             lm = fit_model_and_basis(iset)[0]
             assert lm.c == expected.c
             assert_close_rel(lm.g, expected.g, 1e-12)
-            assert_close_rel(lm.H, expected.H, 1e-12)
+            assert_close_rel(formed_hessian(lm), formed_hessian(expected), 1e-12)
             assert_close_rel(lm.J, J_rep, 1e-12)
             assert_close_rel(build_linear_model(iset).J, J_rep, 1e-12)
 
@@ -313,14 +315,14 @@ class TestFullModel:
         fm = LinearResidualModel(r=np.zeros(2), J=J)
         assert fm.c == 0.0
         np.testing.assert_allclose(fm.g, 0.0)
-        np.testing.assert_allclose(fm.H, 2.0 * J.T @ J)
+        np.testing.assert_allclose(formed_hessian(fm), 2.0 * J.T @ J)
 
     def test_scalar_case(self):
         from dfls.model import LinearResidualModel
         fm = LinearResidualModel(r=np.array([3.0]), J=np.array([[2.0]]))
         assert fm.c == 9.0
         np.testing.assert_allclose(fm.g, [12.0])
-        np.testing.assert_allclose(fm.H, [[8.0]])
+        np.testing.assert_allclose(formed_hessian(fm), [[8.0]])
 
     def test_value_identity(self):
         from dfls.model import LinearResidualModel
@@ -336,7 +338,7 @@ class TestFullModel:
 
 class TestHessianAnswers:
     """Each fitted model's answers about H = 2 J^T J, from J or from the growing
-    factors, against the H it forms when read."""
+    factors, against the H that formed_hessian forms from the same quantities."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 12), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
@@ -359,7 +361,7 @@ class TestHessianAnswers:
             lm = fit_model_and_basis(iset, repair_rank=(kind == "repaired"))[0]
             assert isinstance(lm, MinNormModel)
             assert lm.y.size == (max(min(n, m) - p, 0) if kind == "repaired" else 0)
-        H = lm.H
+        H = formed_hessian(lm)
         top = np.linalg.eigvalsh(H)[-1]
         assert top > 0.0
         for v in (rng.standard_normal(n), lm.g, np.linalg.eigh(H)[1][:, 0]):
@@ -987,7 +989,7 @@ def assert_kept_factors_match_a_fresh_fit(iset):
     assert lm.level == pytest.approx(ref.level, rel=1e-10)
     assert lm.y.size == ref.y.size
     if lm.y.size == n - p:
-        assert_close_rel(lm.H, ref.H, 1e-10)
+        assert_close_rel(formed_hessian(lm), formed_hessian(ref), 1e-10)
     return lm
 
 

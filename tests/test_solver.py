@@ -45,6 +45,8 @@ from dfls.solver import (
 )
 from dfls.trustregion import solve_trust_region
 
+from quadratic import formed_hessian
+
 
 def rosen(x):
     return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
@@ -254,41 +256,12 @@ class TestLazyGrowingJacobian:
 
 
 class TestLazyHessian:
-    """No solve forms a fitted model's n x n H = 2 J^T J: the trust-region step
-    and the loop read only its products, curvatures and norm answers."""
+    """No fitted model forms its n x n H = 2 J^T J: the trust-region step and
+    the loop read only its products, curvatures and norm answers."""
 
-    @staticmethod
-    def hessian_reads(monkeypatch, residual, x0, **kwargs):
-        reads = []
+    def test_no_fitted_model_defines_a_hessian(self):
         for cls in (LinearResidualModel, MinNormModel):
-            def counted(model, lazy=cls.H):
-                reads.append(model)
-                return lazy.func(model)
-
-            monkeypatch.setattr(cls, "H", property(counted))
-        res = solve(residual, x0, seed=0, **kwargs)
-        # One read of a model built here shows that the counter sees reads.
-        assert LinearResidualModel(np.ones(1), np.ones((1, 1))).H[0, 0] == 2.0
-        return res, len(reads) - 1
-
-    def test_a_dense_solve_reads_no_hessian(self, monkeypatch):
-        res, reads = self.hessian_reads(monkeypatch, rosen, np.array([-1.2, 1.0]),
-                                        params=SolverParams(max_evals=200))
-        assert res.diagnostics["iterations"] > 20 and reads == 0
-
-    def test_a_growing_solve_beyond_the_svd_cutoff_reads_no_hessian(self, monkeypatch):
-        n = 25
-        res, reads = self.hessian_reads(monkeypatch, chained_rosen, np.full(n, -1.0),
-                                        params=SolverParams(p_init=1, max_evals=3 * (n + 1)))
-        assert res.diagnostics["refactorizations"]["growing_first"] >= 1
-        assert reads == 0
-
-    def test_a_solve_whose_box_binds_reads_no_hessian(self, monkeypatch):
-        upper = np.array([0.5, 0.5])
-        res, reads = self.hessian_reads(monkeypatch, rosen, np.array([-1.2, 1.0]),
-                                        bounds=(np.full(2, -2.0), upper),
-                                        params=SolverParams(max_evals=200))
-        assert res.x[0] == upper[0] and reads == 0
+            assert not hasattr(cls, "H")
 
     def test_a_model_whose_hessian_overflows_is_repaired(self, monkeypatch):
         # r = 1 at x0 = 0 and J = 1e160 I: g = 2 J^T r ~ 2e160 is finite while
@@ -311,20 +284,25 @@ class TestLazyHessian:
               params=SolverParams(max_evals=20))
         assert repairs
         lm = fits[repairs[0] - 1]
-        assert np.isfinite(lm.g).all() and not np.isfinite(lm.H).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            H = formed_hessian(lm)
+        assert np.isfinite(lm.g).all() and not np.isfinite(H).all()
 
     def test_a_bound_that_overflows_alone_keeps_the_model(self):
         # J = 5e153 I at n = 100: every entry of 2 J^T J (5e307) is finite, but
         # the bound 2 ||J||_F^2 ~ 5e309 overflows; the exact ||H|| decides.
         n = 100
         lm = LinearResidualModel(r=np.ones(n), J=5e153 * np.eye(n))
-        assert not np.isfinite(lm.hnorm_bound())
-        assert np.isfinite(lm.H).all() and np.isfinite(lm.g).all()
-        assert _finite_model(lm)
-        assert not _finite_model(LinearResidualModel(r=np.ones(n), J=1e160 * np.eye(n)))
+        assert np.isfinite(formed_hessian(lm)).all() and np.isfinite(lm.g).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert not np.isfinite(lm.hnorm_bound())
+            assert _finite_model(lm)
+            assert not _finite_model(LinearResidualModel(r=np.ones(n), J=1e160 * np.eye(n)))
         J = np.eye(n)
         J[0, 1] = np.inf
-        assert not _finite_model(LinearResidualModel(r=np.zeros(n), J=J))
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            lm = LinearResidualModel(r=np.zeros(n), J=J)
+        assert not _finite_model(lm)
 
 
 class TestGrowingComplement:
@@ -573,6 +551,30 @@ class TestAutoDetect:
 
     def test_window_precondition(self):
         assert not auto_detect_restart([-1] * 3, [(k, 0.1 * k) for k in range(3)], self.cfg)
+
+    def test_the_jacobian_history_keeps_each_fitted_j_uncopied(self, monkeypatch):
+        # Every fitted J is read-only here, so an in-place write to one, by the
+        # history that keeps it or by anything else in the solve, raises.
+        fit, record = dfls.solver.fit_model_and_basis, _Loop._record_jacobian
+        fitted, kept = [], []
+
+        def read_only_fit(*args, **kwargs):
+            lm, basis = fit(*args, **kwargs)
+            lm.J.flags.writeable = False
+            fitted.append(type(lm))
+            return lm, basis
+
+        def recorded(loop, J):
+            record(loop, J)
+            kept.append(loop.prev_J is J)
+
+        monkeypatch.setattr(dfls.solver, "fit_model_and_basis", read_only_fit)
+        monkeypatch.setattr(_Loop, "_record_jacobian", recorded)
+        res = solve(chained_rosen, np.full(4, -1.0), seed=0,
+                    params=SolverParams(noisy=True, p_init=1, max_evals=200))
+        assert res.diagnostics["iterations"] > 20
+        assert {LinearResidualModel, MinNormModel} <= set(fitted)
+        assert len(kept) > 20 and all(kept)
 
 
 class TestRestarts:

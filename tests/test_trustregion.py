@@ -6,12 +6,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfls import trustregion as tr
-from dfls.model import FullModel, LinearResidualModel, _bounds_arrays, _spectral_norm
+from dfls.model import LinearResidualModel, _bounds_arrays, _spectral_norm
 from dfls.trustregion import contract_stats, solve_trust_region
+
+from quadratic import Quadratic, formed_hessian
+
+
+@pytest.fixture
+def cg_only(monkeypatch):
+    """Every unbounded step runs the CG, as a Quadratic (no r or J) needs."""
+    monkeypatch.setattr(tr, "EXACT_STEP_MAX_N", 0)
 
 
 def quad(g, H, c=0.0):
-    return FullModel(c=c, g=np.asarray(g, dtype=float), H=np.asarray(H, dtype=float))
+    return Quadratic(c=c, g=np.asarray(g, dtype=float), H=np.asarray(H, dtype=float))
 
 
 def model_value(model, s):
@@ -41,9 +49,10 @@ def gauss_newton_model(rng, n, m, scale=1.0, rank=None, dominant=False):
         r = rng.uniform(0.1, 10.0) * scale * np.linalg.svd(J)[0][:, 0]
     else:
         r = scale * rng.standard_normal(m)
-    return FullModel(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)
+    return Quadratic(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)
 
 
+@pytest.mark.usefixtures("cg_only")
 class TestSolveTrustRegion:
     def test_interior_newton_point(self):
         model = quad([-2.0, 0.0], 2.0 * np.eye(2))
@@ -133,7 +142,7 @@ class TestSolveTrustRegion:
         for _ in range(50):
             J = rng.standard_normal((3, 3)) * np.array([1e12, 1e6, 1.0])
             r = rng.standard_normal(3) * 1e6
-            model = FullModel(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)
+            model = Quadratic(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)
             s = solve_trust_region(model, rng.uniform(1e-6, 1.0))
             assert np.all(np.isfinite(s))
 
@@ -212,6 +221,7 @@ def exact_norm_step(model, delta, lower=None, upper=None):
     return s, not decrease < bound - tol
 
 
+@pytest.mark.usefixtures("cg_only")
 class TestCertifiedNorm:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 8), extra_rows=st.integers(-3, 4), seed=st.integers(0, 2**32 - 1),
@@ -280,7 +290,7 @@ class TestCertifiedNorm:
         J = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
         r = rng.standard_normal(3)
         models = [quad([1.0, 2.0], 2.0 * np.eye(2)),  # g is an eigenvector
-                  FullModel(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)]
+                  Quadratic(c=float(r @ r), g=2.0 * J.T @ r, H=2.0 * J.T @ J)]
         before = contract_stats()["exact_norms"]
         for model in models:
             for delta in (1e-3, 1.0, 1e3):
@@ -409,7 +419,7 @@ class TestExactStep:
         model = LinearResidualModel(r=r, J=J)
         assume(np.any(model.g))
         assert n <= tr.EXACT_STEP_MAX_N
-        top = np.linalg.eigvalsh(model.H)[-1]
+        top = np.linalg.eigvalsh(formed_hessian(model))[-1]
         assert abs(tr._svd_step(J, r, delta)[1] - top) <= 1e-12 * top
 
         before = contract_stats()
@@ -431,8 +441,8 @@ class TestExactStep:
         assert s.tobytes() == solve_trust_region(model, delta, -far, far).tobytes()
 
     def test_binding_boxes_and_large_n_keep_the_cg(self, monkeypatch):
-        # The reference is the same fitted model with r = None, which can only
-        # take the CG; it takes its products from the same J.
+        # The reference is the same model's step with EXACT_STEP_MAX_N = 0,
+        # which can only take the CG.
         def no_svd_step(*args):
             raise AssertionError("the SVD step ran")
 
@@ -450,15 +460,16 @@ class TestExactStep:
             J = rng.standard_normal((n + 2, n))
             r = rng.standard_normal(n + 2)
             model = LinearResidualModel(r=r, J=J)
-            reference = LinearResidualModel(r=r, J=J)
-            reference.r = None
             box = (-0.01 * np.ones(n), 0.01 * np.ones(n)) if bounded else ()
+            with monkeypatch.context() as cg_only:
+                cg_only.setattr(tr, "EXACT_STEP_MAX_N", 0)
+                reference = solve_trust_region(model, 1.0, *box)
             del cg_calls[:]
             s = solve_trust_region(model, 1.0, *box)
             assert len(cg_calls) == 1 and cg_calls[0][0] is model
-            assert s.tobytes() == solve_trust_region(reference, 1.0, *box).tobytes()
+            assert s.tobytes() == reference.tobytes()
 
-    def test_takes_the_watson_step_the_cg_stalls_on(self):
+    def test_takes_the_watson_step_the_cg_stalls_on(self, monkeypatch):
         # cond(J) = 1e7 and a ball far larger than the Gauss-Newton step: the
         # exact step is that step, where 2n capped CG iterations on H, with
         # cond(H) = 1e14, stay well short of it.
@@ -472,6 +483,7 @@ class TestExactStep:
         newton = np.linalg.lstsq(J, -r, rcond=None)[0]
         s = solve_trust_region(model, 1e10)
         np.testing.assert_allclose(s, newton, rtol=1e-6)
-        cg = solve_trust_region(FullModel(c=model.c, g=model.g, H=model.H), 1e10)
+        monkeypatch.setattr(tr, "EXACT_STEP_MAX_N", 0)
+        cg = solve_trust_region(model, 1e10)
         assert model.decrease(s) > model.decrease(cg)
         assert np.linalg.norm(cg - newton) > 1e-3 * np.linalg.norm(newton)

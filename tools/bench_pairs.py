@@ -14,6 +14,14 @@ The no-regression verdict reads the metric's ``bound``, relative to the
 parent's median: "worse" when the change's median is worse by more than it,
 "unresolved" when the parent's IQR exceeds it (unless every change run beats
 every parent run), and "ok" otherwise. ``--out`` writes every raw run as JSON.
+
+When ``setup_s`` reads "unresolved" or "worse", the script also probes it
+directly: 10 alternating processes per side, each timing 15 calls of
+``benchmarks/run.py``'s ``set_up`` and keeping their median. The probe's
+verdicts read those per-process medians as pairs, and ``--out`` holds it too.
+The benchmark's own ``setup_s`` is the median of only 3 calls, and compile
+time in one process takes one of a few values, so one run's reading can sit
+far from another's.
 """
 
 import argparse
@@ -26,6 +34,22 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+SETUP_PROBE_PROCESSES = 10
+SETUP_PROBE_CALLS = 15
+
+# One probe process: time set_up as benchmarks/run.py's measure() does.
+_SETUP_PROBE = """
+import json, sys, time
+sys.path.insert(0, "benchmarks")
+import run
+workload, seed, calls = run.WORKLOADS[sys.argv[1]], int(sys.argv[2]), int(sys.argv[3])
+times = []
+for _ in range(calls):
+    t0 = time.perf_counter()
+    run.set_up(workload, seed, False)
+    times.append(time.perf_counter() - t0)
+print(json.dumps(times))
+"""
 
 
 def quartiles(values):
@@ -114,6 +138,40 @@ def report(runs, metrics):
     return rows
 
 
+def pair_order(i, args):
+    """Pair i's (side, checkout) runs in order: the change first on odd i."""
+    order = ("change", "parent") if i % 2 else ("parent", "change")
+    return [(side, args.change_dir if side == "change" else args.parent_dir) for side in order]
+
+
+def setup_probe_needed(rows):
+    """Whether the pairs left setup_s "unresolved" or "worse"."""
+    return rows.get("setup_s", {}).get("regression") in ("unresolved", "worse")
+
+
+def probe_setup(root, workload, seed, calls):
+    """One probe process in the checkout root: the times of its set_up calls."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETUP_PROBE, workload, str(seed), str(calls)],
+        cwd=root, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise RuntimeError(f"{root}: set_up probe failed: {proc.stderr[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def setup_probe_report(times, bound):
+    """The probe's verdicts: {"parent": [...], "change": [...]}, one list of times per process.
+
+    Each process counts as its median; process i of the two sides forms pair i.
+    """
+    medians = {side: [statistics.median(t) for t in times[side]]
+               for side in ("parent", "change")}
+    sides = medians["parent"], medians["change"]
+    return dict(verdict(*sides, "lower"), regression=no_regression(*sides, "lower", bound),
+                medians=medians)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_dir")
@@ -130,14 +188,13 @@ def main(argv=None):
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed + i
-        order = ("change", "parent") if i % 2 else ("parent", "change")
-        for side in order:
-            root = args.change_dir if side == "change" else args.parent_dir
+        for side, root in pair_order(i, args):
             runs[side].append(run_side(root, args.workload, seed, args.seconds))
         same = runs["parent"][-1]["identity"] == runs["change"][-1]["identity"]
         print(f"# pair {i} seed {seed}: identity {'equal' if same else 'differs'}", flush=True)
 
-    rows = report(runs, end_to_end_metrics(args.change_dir))
+    metrics = end_to_end_metrics(args.change_dir)
+    rows = report(runs, metrics)
     print(f"{'metric':<14}{'parent':>12}{'change':>12}{'delta':>9}{'IQR':>12}{'won':>7}"
           f"  gain  regression")
     for name, row in rows.items():
@@ -151,10 +208,23 @@ def main(argv=None):
                if r["exit"] or not r["result"]["correct"] or r["result"]["failed"]]
         print(f"# {side}: {len(runs[side]) - len(bad)} of {len(runs[side])} runs correct "
               f"with no failed solve" + (f"; not at seeds {bad}" if bad else ""))
+    out = {"workload": args.workload, "seconds": args.seconds, "runs": runs, "verdicts": rows}
+    if setup_probe_needed(rows):
+        times = {"parent": [], "change": []}
+        for i in range(SETUP_PROBE_PROCESSES):
+            for side, root in pair_order(i, args):
+                times[side].append(probe_setup(root, args.workload, args.seed + i,
+                                               SETUP_PROBE_CALLS))
+        bound = next(m["bound"] for m in metrics if m["name"] == "setup_s")
+        probe = setup_probe_report(times, bound)
+        print(f"# setup_s probe ({SETUP_PROBE_PROCESSES} processes per side, median of "
+              f"{SETUP_PROBE_CALLS} calls each): parent {probe['parent_median']:.6g} s, "
+              f"change {probe['change_median']:.6g} s, IQR {probe['parent_iqr']:.4g}, "
+              f"won {probe['wins']}/{probe['pairs']}, gain {'yes' if probe['gain'] else 'no'}, "
+              f"regression {probe['regression']}")
+        out["setup_probe"] = dict(probe, times=times)
     if args.out:
-        Path(args.out).write_text(json.dumps(
-            {"workload": args.workload, "seconds": args.seconds, "runs": runs,
-             "verdicts": rows}, indent=1))
+        Path(args.out).write_text(json.dumps(out, indent=1))
     return 0
 
 
